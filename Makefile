@@ -3,15 +3,21 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test core-tests clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
 
-ci: build test telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
+ci: build test core-tests telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
 
 build:
 	$(CARGO) build --release
 
 test:
 	$(CARGO) test -q
+
+# The core crate's own suites: the environment and evaluation-cache unit
+# tests, the cache property tests, and the LRU eviction tests. Release
+# mode: the experiment-runner unit tests train real agents.
+core-tests:
+	$(CARGO) test -q --release -p autophase-core
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

@@ -15,7 +15,7 @@
 //!    where the served ordering matches or beats `-O3` — the Fig. 9
 //!    protocol), p50/p99 latency, zero drops.
 //! 3. **Warm replay** — the same corpus again: every answer must come
-//!    from the store (this is the first APSTORE1 run at ~10k distinct
+//!    from the store (the persistent store at ~10k distinct
 //!    fingerprints), reported as req/s plus store growth (entries,
 //!    log bytes, reopen time).
 //! 4. **Feature ablation** — train one policy on Table-2 features and
@@ -48,7 +48,7 @@ use autophase_rl::checkpoint::PolicyCheckpoint;
 use autophase_rl::env::Environment;
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_env, serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::{serve_env_config, serve_layout};
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::BestStore;
@@ -292,10 +292,10 @@ fn main() {
         .collect();
     let serve_train_iters = scale.pick4(300, 400, 600, 800);
     eprintln!("corpus_bench: training serve policy for {serve_train_iters} iterations");
-    let mut env = serve_env(train_slice.clone());
+    let mut env = PhaseOrderEnv::new(train_slice.clone(), serve_env_config());
     let mut agent = PpoAgent::new(
-        serve_obs_dim(),
-        serve_num_actions(),
+        serve_layout().obs_dim(),
+        serve_layout().num_actions(),
         &PpoConfig::small(),
         SEED,
     );

@@ -30,7 +30,7 @@ use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{Algo, PolicyCheckpoint};
 use autophase_rl::registry::ModelRegistry;
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::serve_layout;
 use autophase_serve::learner::LearnerConfig;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::SERVE_EPISODE_LEN;
@@ -74,7 +74,7 @@ fn renamed(ir: &str, tag: &str) -> String {
 
 fn random_policy(seed: u64) -> Mlp {
     Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
+        &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
         Activation::Tanh,
         seed,
     )
@@ -84,7 +84,11 @@ fn healthy_ckpt(seed: u64) -> PolicyCheckpoint {
     PolicyCheckpoint {
         algo: Algo::Ppo,
         policy: random_policy(seed),
-        value: Mlp::new(&[serve_obs_dim(), 8, 1], Activation::Tanh, seed ^ 0xF00),
+        value: Mlp::new(
+            &[serve_layout().obs_dim(), 8, 1],
+            Activation::Tanh,
+            seed ^ 0xF00,
+        ),
     }
 }
 

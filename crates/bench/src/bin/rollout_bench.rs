@@ -5,15 +5,16 @@
 //! `EnvConfig::incremental` off ("before": every step re-verifies,
 //! re-extracts, and re-profiles the whole module) versus on ("after":
 //! copy-on-write modules, pass-derived change sets, per-function
-//! feature/schedule caches, and a content-addressed profile memo make a
-//! step cost proportional to what the pass changed). The headline
+//! feature/schedule caches, the snapshot memo, and the content-addressed
+//! evaluation cache make a step cost proportional to what the pass
+//! changed). The headline
 //! speedup lands in `BENCH_incremental.json`, and `--min-speedup <x>`
 //! turns the binary into a regression gate that fails below the floor.
 //!
-//! **Parallel collection + shared [`EvalCache`]**: the seed's serial
-//! path versus a worker pool of environments sharing one cache, so any
-//! `(program, pass-sequence)` state profiled once — by any worker, in
-//! any round — is a table lookup ever after.
+//! **Parallel collection + shared [`EvalCache`]**: serial collection on
+//! one environment versus a worker pool of environments sharing one
+//! cache, so any module state profiled once — by any worker, in any
+//! round — is a table lookup ever after.
 //!
 //! In both comparisons the two paths collect the *same* episode indices
 //! under the *same* seeds, and episode-indexed collection makes the
@@ -139,8 +140,9 @@ fn main() {
     agent.train(&mut warm_env, warmup_iters);
 
     // ---- Incremental evaluation: full recompute vs. change-set driven ----
-    // Single worker, serial collection, no shared EvalCache on either
-    // side: the measured speedup is the incremental machinery's alone.
+    // Single worker, serial collection, nothing shared: the
+    // full-recompute env never consults a cache and the incremental env
+    // uses its private one, so the speedup is the incremental path's.
     let corpus = incremental_corpus();
     let corpus_names: Vec<&str> = corpus.iter().map(|(n, _)| n.as_str()).collect();
     let inc_rounds = scale.pick(6, 16, 32);
@@ -225,7 +227,7 @@ fn main() {
         "collecting {rounds} rounds x {episodes_per_round} episodes (<= {total_steps_hint} steps) per path..."
     );
 
-    // Before: the seed path — serial collection, no cache.
+    // Before: serial collection on one environment (private cache).
     let mut serial_env = PhaseOrderEnv::single(program.clone(), env_config());
     let mut serial_batches = Vec::with_capacity(rounds);
     let t0 = telemetry::maybe_now();

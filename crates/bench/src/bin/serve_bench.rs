@@ -27,11 +27,12 @@
 //! [-- --scale small|medium|paper] [--telemetry summary|jsonl|prom|off]`.
 
 use autophase_bench::{Scale, TelemetryMode, TelemetrySession};
+use autophase_core::PhaseOrderEnv;
 use autophase_ir::printer::print_module;
 use autophase_rl::checkpoint::PolicyCheckpoint;
 use autophase_rl::ppo::{PpoAgent, PpoConfig};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_env, serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::{serve_env_config, serve_layout};
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
 use std::net::SocketAddr;
@@ -93,10 +94,10 @@ fn main() {
         .into_iter()
         .map(|b| b.module)
         .collect();
-    let mut env = serve_env(programs);
+    let mut env = PhaseOrderEnv::new(programs, serve_env_config());
     let mut agent = PpoAgent::new(
-        serve_obs_dim(),
-        serve_num_actions(),
+        serve_layout().obs_dim(),
+        serve_layout().num_actions(),
         &PpoConfig::small(),
         SEED,
     );

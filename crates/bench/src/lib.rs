@@ -13,7 +13,7 @@
 //! | `fig8` | Figure 8 (learning curves) |
 //! | `fig9` | Figure 9 (generalization) |
 //! | `generalize_random` | §6.2's random-program generalization number |
-//! | `rollout_bench` | rollout throughput: serial/uncached vs. parallel/cached |
+//! | `rollout_bench` | rollout throughput: full recompute vs. incremental, serial vs. parallel/shared cache |
 //!
 //! Run with `--scale small|medium|paper` (default `small`); `paper`
 //! approaches the paper's sample counts and takes correspondingly long.

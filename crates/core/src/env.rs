@@ -1,7 +1,7 @@
 //! The phase-ordering RL environment (§5.1).
 
-use crate::eval_cache::{fingerprint_module, CacheEntry, CacheKey, EvalCache, SeqHash};
-use crate::incremental::{IncrementalEval, ProfileMemo, SnapEntry, SnapshotMemo};
+use crate::eval_cache::{fingerprint_module, EvalCache};
+use crate::incremental::{IncrementalEval, SnapEntry, SnapshotMemo};
 use crate::quarantine::Quarantine;
 use autophase_features::{
     extract, extract_structural, filter_features, log_normalize, normalize_to_inst_count,
@@ -12,8 +12,7 @@ use autophase_hls::{
     HlsConfig, ScheduleCache,
 };
 use autophase_ir::Module;
-use autophase_passes::changeset::{apply_traced, ChangeSet};
-use autophase_passes::checked::apply_checked_traced;
+use autophase_passes::checked::{apply_checked_traced, FaultKind};
 use autophase_passes::registry::{self, NUM_PASSES};
 use autophase_passes::FuelBudget;
 use autophase_rl::env::{Environment, StepResult};
@@ -106,21 +105,21 @@ pub struct EnvConfig {
     pub objective: Objective,
     /// HLS settings (200 MHz by default).
     pub hls: HlsConfig,
-    /// Apply passes transactionally ([`autophase_passes::apply_checked`]):
-    /// a pass that panics, breaks the verifier, or blows the fuel budget
-    /// is rolled back and scored as a no-op (zero reward) instead of
-    /// crashing the training run. On by default; turn off only to
-    /// reproduce the unchecked seed behavior exactly.
-    pub fault_isolation: bool,
-    /// Resource budget for checked pass applications.
+    /// Resource budget for pass applications. Every pass is applied
+    /// transactionally ([`autophase_passes::apply_checked`]): one that
+    /// panics, breaks the verifier, or blows this budget is rolled back
+    /// and scored as a no-op (zero reward) instead of crashing the
+    /// training run.
     pub fuel: FuelBudget,
     /// Function-granular incremental evaluation: maintain per-function
     /// fingerprints and feature decompositions under each pass's change
-    /// set, reuse FSM schedules for untouched functions, and memoize
-    /// whole-module profiles by content fingerprint. Results are
-    /// bit-identical to the from-scratch path (the differential suites
-    /// enforce this); only the amount of work per step changes. On by
-    /// default; turn off to reproduce the full-recompute baseline.
+    /// set, replay previously walked transitions from the snapshot memo,
+    /// reuse FSM schedules for untouched functions, and take whole-module
+    /// profiles from the evaluation cache by content fingerprint. Results
+    /// are bit-identical to the from-scratch path (the differential
+    /// suites enforce this); only the amount of work per step changes. On
+    /// by default; turn off only for the full-recompute reference, which
+    /// never consults the cache.
     pub incremental: bool,
 }
 
@@ -137,7 +136,6 @@ impl Default for EnvConfig {
             include_terminate: false,
             objective: Objective::Cycles,
             hls: HlsConfig::default(),
-            fault_isolation: true,
             fuel: FuelBudget::default(),
             incremental: true,
         }
@@ -186,26 +184,22 @@ pub struct PhaseOrderEnv {
     /// Number of cycle-profiler invocations ("samples" in Figure 7).
     samples: u64,
     episode_done: bool,
-    /// Shared memoization cache; `None` keeps the uncached seed path.
-    cache: Option<Arc<EvalCache>>,
+    /// Profile cache keyed by module content fingerprint: private to this
+    /// env unless shared through [`PhaseOrderEnv::with_cache`].
+    cache: Arc<EvalCache>,
     /// Shared repeat-offender table; `None` disables masking.
     quarantine: Option<Arc<Quarantine>>,
-    /// Fingerprints of the pristine programs (filled when a cache is set).
+    /// Fingerprints of the pristine programs (filled when a quarantine is
+    /// attached).
     program_fps: Vec<u64>,
     /// Fingerprint of the episode's pristine program.
     current_fp: u64,
-    /// Rolling hash of the passes applied this episode that reported a
-    /// change (the cache key's sequence component).
-    seq_hash: SeqHash,
-    /// Changing passes applied this episode (cached mode). `current`
-    /// reflects only the first `materialized` of them; the rest are known
-    /// from the transition memo and replayed lazily on demand.
-    applied: Vec<usize>,
-    /// How many entries of `applied` are reflected in `current`.
-    materialized: usize,
+    /// Changing passes applied this episode, in order (the snapshot-memo
+    /// key's sequence component).
+    applied: Vec<u16>,
     /// Incremental fingerprint/feature state, always synced with
-    /// `current`'s materialized prefix. `None` until the first reset of an
-    /// incremental episode (or always, with `cfg.incremental` off).
+    /// `current`. `None` until the first reset of an incremental episode
+    /// (or always, with `cfg.incremental` off).
     inc: Option<IncrementalEval>,
     /// Lazily built pristine [`IncrementalEval`] per program, cloned into
     /// `inc` at reset so episode starts cost O(#functions) copies instead
@@ -214,8 +208,6 @@ pub struct PhaseOrderEnv {
     /// Per-function schedule/area cache, keyed by content fingerprint.
     /// Persistent across episodes and programs (one env = one HlsConfig).
     sched: ScheduleCache,
-    /// Whole-module profile memo keyed by module content fingerprint.
-    memo: ProfileMemo,
     /// Step-transition snapshots keyed by `(program index, exact
     /// changing-pass sequence)`. A hit replaces pass execution with a
     /// copy-on-write restore of the recorded result.
@@ -223,23 +215,46 @@ pub struct PhaseOrderEnv {
     /// Index in `programs` of the episode's program (unlike
     /// `program_cursor`, which already points at the *next* episode's).
     episode_program: usize,
-    /// Whether `applied` is an exact changing-pass sequence from the
-    /// episode's pristine program — false until the first reset, and
-    /// after a mid-episode cache attach rebases the sequence bookkeeping
-    /// onto a non-pristine state. Snapshot keys are only sound when true.
-    snap_keys_valid: bool,
 }
 
 impl PhaseOrderEnv {
-    /// Create an environment over a set of programs.
+    /// Create an environment over a set of programs, with a private
+    /// evaluation cache.
     ///
     /// # Panics
     ///
     /// Panics if `programs` is empty.
     pub fn new(programs: Vec<Module>, cfg: EnvConfig) -> PhaseOrderEnv {
+        PhaseOrderEnv::with_cache(programs, cfg, Arc::new(EvalCache::default()))
+    }
+
+    /// Single-program convenience constructor.
+    pub fn single(program: Module, cfg: EnvConfig) -> PhaseOrderEnv {
+        PhaseOrderEnv::new(vec![program], cfg)
+    }
+
+    /// Like [`PhaseOrderEnv::new`], profiling through a shared `cache`:
+    /// a module state profiled by any env on the cache is a hit for every
+    /// other, and only real profiler runs count toward
+    /// [`PhaseOrderEnv::samples`]. Results are bit-identical to an
+    /// unshared cache — sharing only changes how often the profiler runs.
+    ///
+    /// Entries are keyed by module content alone, so every env sharing a
+    /// cache must profile under the same [`HlsConfig`]. With
+    /// `incremental` off the env never consults the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `programs` is empty.
+    pub fn with_cache(
+        programs: Vec<Module>,
+        cfg: EnvConfig,
+        cache: Arc<EvalCache>,
+    ) -> PhaseOrderEnv {
         assert!(!programs.is_empty(), "need at least one program");
         let current = programs[0].clone();
         let mut env = PhaseOrderEnv {
+            inc_templates: (0..programs.len()).map(|_| None).collect(),
             programs,
             cfg,
             current,
@@ -249,55 +264,18 @@ impl PhaseOrderEnv {
             prev_cycles: 0,
             samples: 0,
             episode_done: false,
-            cache: None,
+            cache,
             quarantine: None,
             program_fps: Vec::new(),
             current_fp: 0,
-            seq_hash: SeqHash::new(),
             applied: Vec::new(),
-            materialized: 0,
             inc: None,
-            inc_templates: Vec::new(),
             sched: ScheduleCache::default(),
-            memo: ProfileMemo::default(),
             snap: SnapshotMemo::default(),
             episode_program: 0,
-            snap_keys_valid: false,
         };
-        env.inc_templates = (0..env.programs.len()).map(|_| None).collect();
         env.action_histogram = vec![0.0; env.num_actions()];
         env
-    }
-
-    /// Single-program convenience constructor.
-    pub fn single(program: Module, cfg: EnvConfig) -> PhaseOrderEnv {
-        PhaseOrderEnv::new(vec![program], cfg)
-    }
-
-    /// Like [`PhaseOrderEnv::new`], sharing `cache` from the start.
-    pub fn with_cache(
-        programs: Vec<Module>,
-        cfg: EnvConfig,
-        cache: Arc<EvalCache>,
-    ) -> PhaseOrderEnv {
-        let mut env = PhaseOrderEnv::new(programs, cfg);
-        env.set_cache(cache);
-        env
-    }
-
-    /// Attach a shared evaluation cache. Every profiler query from now on
-    /// is keyed by `(program fingerprint, applied-pass hash)` and answered
-    /// from the cache when possible; only real profiler runs count toward
-    /// [`PhaseOrderEnv::samples`]. Results are bit-identical to the
-    /// uncached path — the cache only changes how often the profiler runs.
-    pub fn set_cache(&mut self, cache: Arc<EvalCache>) {
-        self.init_fingerprints();
-        self.cache = Some(cache);
-    }
-
-    /// The shared cache, if one is attached.
-    pub fn cache(&self) -> Option<&Arc<EvalCache>> {
-        self.cache.as_ref()
     }
 
     /// Attach a shared [`Quarantine`] table. Faulted pass applications are
@@ -309,7 +287,10 @@ impl PhaseOrderEnv {
     /// *more* over time — runs that must be bit-identical across worker
     /// counts should not attach one.
     pub fn set_quarantine(&mut self, quarantine: Arc<Quarantine>) {
-        self.init_fingerprints();
+        if self.program_fps.is_empty() {
+            self.program_fps = self.programs.iter().map(fingerprint_module).collect();
+            self.current_fp = self.program_fps[self.episode_program];
+        }
         self.quarantine = Some(quarantine);
     }
 
@@ -323,22 +304,6 @@ impl PhaseOrderEnv {
         match &self.quarantine {
             Some(q) => q.masked_passes(self.current_fp),
             None => Vec::new(),
-        }
-    }
-
-    /// Fill the program fingerprints on the first cache/quarantine attach.
-    fn init_fingerprints(&mut self) {
-        if self.program_fps.is_empty() {
-            self.program_fps = self.programs.iter().map(fingerprint_module).collect();
-            // The episode may already be underway (mid-episode attach):
-            // fingerprint the live module state so keys stay exact. The
-            // rebased `applied` no longer starts at a pristine program,
-            // so snapshot keys are invalid until the next reset.
-            self.current_fp = fingerprint_module(&self.current);
-            self.seq_hash = SeqHash::new();
-            self.applied.clear();
-            self.materialized = 0;
-            self.snap_keys_valid = false;
         }
     }
 
@@ -358,77 +323,42 @@ impl PhaseOrderEnv {
 
     /// Objective value (cycles / area / weighted) of the current module
     /// state. For the default configuration this is the cycle count.
-    ///
-    /// With a cache attached, a hit answers without running the profiler
-    /// (and without charging a sample); only misses profile. Failed
-    /// profiles are never cached.
     pub fn cycles(&mut self) -> u64 {
-        // Narrow re-borrows of `self.cache` throughout: cloning the `Arc`
-        // here (the old code) was an atomic refcount bump on *every* step
-        // of every worker — pure overhead, since the cache is never
-        // detached mid-call.
-        if self.cache.is_some() {
-            let key = CacheKey {
-                program: self.current_fp,
-                seq: self.seq_hash.value(),
-            };
-            if let Some(entry) = self.cache.as_deref().and_then(|c| c.get(&key)) {
-                return self.objective_of(&entry);
-            }
-            self.materialize();
-            let report = match self.profile_current() {
-                Some(r) => r,
-                None => return u64::MAX / 4,
-            };
-            // With incremental state the entry is assembled from the
-            // already-maintained fingerprint and feature total — no module
-            // re-walk; otherwise fall back to the full extraction.
-            let entry = match &self.inc {
-                Some(inc) => CacheEntry::from_parts(inc.module_fp(), inc.features(), &report),
-                None => CacheEntry::from_report(&self.current, &report),
-            };
-            let value = self.objective_of(&entry);
-            if let Some(cache) = self.cache.as_deref() {
-                cache.insert(key, entry);
-            }
-            return value;
-        }
         match self.profile_current() {
-            Some(report) => self.objective_of_report(&report),
+            Some(report) => self.objective_of(&report),
             None => u64::MAX / 4,
         }
     }
 
-    /// Profile `current` (which must be fully materialized), through the
-    /// incremental machinery when enabled: a content-fingerprint memo hit
-    /// returns a past report without running the profiler (and without
-    /// charging a sample — the memo has [`EvalCache`] sampling semantics);
-    /// a miss profiles with per-function schedule reuse. `None` when
-    /// execution failed (never memoized).
+    /// Profile `current`. Incremental mode asks the evaluation cache
+    /// first, keyed by the maintained content fingerprint: a hit returns a
+    /// past report without running the profiler (and without charging a
+    /// sample); a miss profiles with per-function schedule reuse. The
+    /// full-recompute mode always profiles from scratch. `None` when
+    /// execution failed (never cached).
     fn profile_current(&mut self) -> Option<Arc<HlsReport>> {
-        if let Some(inc) = &self.inc {
-            let fp = inc.module_fp();
-            if let Some(report) = self.memo.get(fp) {
-                return Some(report);
-            }
+        let Some(inc) = &self.inc else {
             self.samples += 1;
-            let report =
-                profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
-                    inc.func_fp(f).expect("live function has a fingerprint")
-                })
-                .ok()?;
-            let report = Arc::new(report);
-            self.memo.insert(fp, Arc::clone(&report));
+            return profile_module(&self.current, &self.cfg.hls)
+                .ok()
+                .map(Arc::new);
+        };
+        let fp = inc.module_fp();
+        if let Some(report) = self.cache.get(fp) {
             return Some(report);
         }
         self.samples += 1;
-        profile_module(&self.current, &self.cfg.hls)
-            .ok()
-            .map(Arc::new)
+        let report = profile_module_cached(&self.current, &self.cfg.hls, &mut self.sched, |f| {
+            inc.func_fp(f).expect("live function has a fingerprint")
+        })
+        .ok()?;
+        let report = Arc::new(report);
+        self.cache.insert(fp, Arc::clone(&report));
+        Some(report)
     }
 
     /// The configured objective read off a profile report.
-    fn objective_of_report(&self, report: &HlsReport) -> u64 {
+    fn objective_of(&self, report: &HlsReport) -> u64 {
         match self.cfg.objective {
             Objective::Cycles => report.cycles,
             Objective::Area => report.area.total(),
@@ -438,20 +368,6 @@ impl PhaseOrderEnv {
             } => (cycle_weight * report.cycles as f64 + area_weight * report.area.total() as f64)
                 .max(0.0) as u64,
             Objective::DynamicInsts => report.insts_executed,
-        }
-    }
-
-    /// The configured objective read off a cache entry.
-    fn objective_of(&self, entry: &CacheEntry) -> u64 {
-        match self.cfg.objective {
-            Objective::Cycles => entry.cycles,
-            Objective::Area => entry.area.total(),
-            Objective::Weighted {
-                cycle_weight,
-                area_weight,
-            } => (cycle_weight * entry.cycles as f64 + area_weight * entry.area.total() as f64)
-                .max(0.0) as u64,
-            Objective::DynamicInsts => entry.insts_executed,
         }
     }
 
@@ -467,60 +383,14 @@ impl PhaseOrderEnv {
     }
 
     /// The module in its current (partially optimized) state.
-    ///
-    /// In cached mode the module is materialized lazily, so this may have
-    /// to replay memoized passes first — hence `&mut self`.
-    pub fn module(&mut self) -> &Module {
-        self.materialize();
+    pub fn module(&self) -> &Module {
         &self.current
-    }
-
-    /// Replay any passes known (from the transition memo) to be part of
-    /// the current state but not yet applied to `current`. Replaying only
-    /// the *changing* passes reproduces the exact module: a pass that
-    /// reported no change left the module untouched, so dropping it
-    /// cannot alter what later passes see.
-    fn materialize(&mut self) {
-        for i in self.materialized..self.applied.len() {
-            if self.inc.is_some() {
-                // A replayed prefix is a previously walked sequence by
-                // definition, so the snapshot memo usually turns the whole
-                // replay into copy-on-write restores.
-                if self.snap_keys_valid {
-                    let key: Vec<u16> = self.applied[..=i].iter().map(|&p| p as u16).collect();
-                    if let Some(entry) = self.snap.get(self.episode_program, key) {
-                        debug_assert!(entry.changed(), "memoized changing pass recorded as no-op");
-                        if let Some((module, eval)) = entry.state_clone() {
-                            self.current = module;
-                            self.inc = Some(eval);
-                        }
-                        continue;
-                    }
-                }
-                let pass = self.applied[i];
-                let (changed, cs) = apply_traced(&mut self.current, pass);
-                debug_assert!(changed, "memoized changing pass replayed as no-op");
-                self.note_change(&cs);
-                if self.snap_keys_valid {
-                    let key: Vec<u16> = self.applied[..=i].iter().map(|&p| p as u16).collect();
-                    let entry = SnapEntry::change(
-                        self.current.clone(),
-                        self.inc.clone().expect("incremental mode"),
-                    );
-                    self.snap.insert(self.episode_program, key, entry);
-                }
-            } else {
-                let changed = registry::apply(&mut self.current, self.applied[i]);
-                debug_assert!(changed, "memoized changing pass replayed as no-op");
-            }
-        }
-        self.materialized = self.applied.len();
     }
 
     /// The snapshot-memo key for applying `pass_id` to the current state:
     /// the episode's changing-pass sequence so far, plus the new pass.
     fn snap_key(&self, pass_id: usize) -> Vec<u16> {
-        let mut key: Vec<u16> = self.applied.iter().map(|&p| p as u16).collect();
+        let mut key = self.applied.clone();
         key.push(pass_id as u16);
         key
     }
@@ -530,9 +400,7 @@ impl PhaseOrderEnv {
     /// the recorded post-pass module and incremental state (COW clones)
     /// and report its change flag, skipping pass execution entirely.
     fn snapshot_lookup(&mut self, pass_id: usize) -> Option<bool> {
-        if !self.snap_keys_valid || self.inc.is_none() {
-            return None;
-        }
+        self.inc.as_ref()?;
         let key = self.snap_key(pass_id);
         let entry = self.snap.get(self.episode_program, key)?;
         if let Some((module, eval)) = entry.state_clone() {
@@ -542,35 +410,35 @@ impl PhaseOrderEnv {
         Some(entry.changed())
     }
 
-    /// Apply `pass_id` to the (materialized) current state and record the
-    /// transition in the snapshot memo. Returns `(changed, faulted)`;
+    /// Apply `pass_id` transactionally and, in incremental mode, record
+    /// the transition in the snapshot memo. Returns `(changed, faulted)`;
     /// faulted applies are rolled back by the checked layer and never
-    /// recorded.
-    fn apply_and_record(&mut self, pass_id: usize) -> (bool, bool) {
-        let (changed, faulted) = if self.cfg.fault_isolation {
-            match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, None) {
+    /// recorded, and neither are applies carrying an `injected` fault
+    /// (the plan is keyed to apply counters, not to module state, so its
+    /// outcome must not be replayed for a later, unplanned step).
+    fn apply_and_record(&mut self, pass_id: usize, injected: Option<FaultKind>) -> (bool, bool) {
+        let (changed, faulted) =
+            match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, injected) {
                 Ok((c, cs)) => {
                     if c {
-                        self.note_change(&cs);
+                        if let Some(inc) = &mut self.inc {
+                            inc.apply(&self.current, &cs);
+                        }
                     }
                     (c, false)
                 }
                 Err(_) => (false, true),
-            }
-        } else {
-            (self.apply_unchecked(pass_id), false)
-        };
-        if !faulted && self.snap_keys_valid && self.inc.is_some() {
-            let entry = if changed {
-                SnapEntry::change(
-                    self.current.clone(),
-                    self.inc.clone().expect("incremental mode"),
-                )
-            } else {
-                SnapEntry::noop()
             };
-            self.snap
-                .insert(self.episode_program, self.snap_key(pass_id), entry);
+        if !faulted && injected.is_none() {
+            if let Some(inc) = &self.inc {
+                let entry = if changed {
+                    SnapEntry::change(self.current.clone(), inc.clone())
+                } else {
+                    SnapEntry::noop()
+                };
+                self.snap
+                    .insert(self.episode_program, self.snap_key(pass_id), entry);
+            }
         }
         (changed, faulted)
     }
@@ -586,56 +454,6 @@ impl PhaseOrderEnv {
     /// lock-step with the module through faults and rollbacks.
     pub fn incremental_state(&self) -> Option<&IncrementalEval> {
         self.inc.as_ref()
-    }
-
-    /// Fold one successful, changing pass application's change set into
-    /// the incremental state (no-op when incremental evaluation is off).
-    /// Never called for faulted applies: the transactional rollback
-    /// restores the exact pre-pass module, which `inc` already describes.
-    fn note_change(&mut self, cs: &ChangeSet) {
-        if let Some(inc) = &mut self.inc {
-            inc.apply(&self.current, cs);
-        }
-    }
-
-    /// Unchecked apply (fault isolation off) — traced only when the
-    /// incremental state needs the change set, so the legacy configuration
-    /// stays byte-for-byte the seed path.
-    fn apply_unchecked(&mut self, pass_id: usize) -> bool {
-        if self.inc.is_some() {
-            let (changed, cs) = apply_traced(&mut self.current, pass_id);
-            if changed {
-                self.note_change(&cs);
-            }
-            changed
-        } else {
-            registry::apply(&mut self.current, pass_id)
-        }
-    }
-
-    /// Materialize `current` if the next observation will need it (i.e.
-    /// the cache cannot serve the state's feature vector).
-    fn ensure_observable(&mut self) {
-        if self.materialized == self.applied.len() {
-            return;
-        }
-        let served = match (&self.cache, &self.cfg.observation) {
-            (_, ObservationKind::ActionHistory) => true,
-            // Structural features are extracted from the module itself —
-            // no cache stores them, so the state must be materialized.
-            _ if self.cfg.feature_set == FeatureSet::Structural => false,
-            (Some(cache), _) => {
-                let key = CacheKey {
-                    program: self.current_fp,
-                    seq: self.seq_hash.value(),
-                };
-                cache.peek(&key).is_some()
-            }
-            (None, _) => false,
-        };
-        if !served {
-            self.materialize();
-        }
     }
 
     /// Number of feature slots in the observation: the (possibly
@@ -654,29 +472,14 @@ impl PhaseOrderEnv {
         base + extension
     }
 
-    /// Raw Table-2 features of the current state. With a cache attached,
-    /// the `(program fingerprint, applied-pass hash)` key uniquely
-    /// determines the module state (see [`crate::eval_cache`]), so an
-    /// existing entry's stored features *are* `extract(&self.current)` —
-    /// serving them skips the extraction walk. States the profiler never
-    /// visited (zero-reward inference) fall through to a real extraction.
+    /// Raw Table-2 features of the current state. The incremental total
+    /// is maintained to equal `extract` of the module at all times, so
+    /// serving it replaces a full module walk with a copy.
     fn raw_features(&self) -> FeatureVector {
-        if let Some(cache) = &self.cache {
-            let key = CacheKey {
-                program: self.current_fp,
-                seq: self.seq_hash.value(),
-            };
-            if let Some(entry) = cache.peek(&key) {
-                return entry.features;
-            }
+        match &self.inc {
+            Some(inc) => inc.features(),
+            None => extract(&self.current),
         }
-        // The incremental total is maintained to equal `extract` of the
-        // materialized module at all times, so serving it here replaces a
-        // full module walk with a copy.
-        if let Some(inc) = &self.inc {
-            return inc.features();
-        }
-        extract(&self.current)
     }
 
     fn features(&self) -> Vec<f64> {
@@ -692,10 +495,8 @@ impl PhaseOrderEnv {
             normed
         };
         if self.cfg.feature_set == FeatureSet::Structural {
-            // The caches and the incremental state only carry the 56-wide
-            // Table-2 vector; the structural block always walks the
-            // materialized module (`ensure_observable` guarantees
-            // `current` is up to date before any observation). The same
+            // The incremental state only carries the 56-wide Table-2
+            // vector; the structural block always walks the module. The same
             // normalization applies, with InstCount dividing by the raw
             // total instruction count (feature 51), and the §4 filter
             // never applies — the block is already importance-selected.
@@ -714,8 +515,7 @@ impl PhaseOrderEnv {
         out
     }
 
-    fn observe(&mut self) -> Vec<f64> {
-        self.ensure_observable();
+    fn observe(&self) -> Vec<f64> {
         match self.cfg.observation {
             ObservationKind::ProgramFeatures => self.features(),
             ObservationKind::ActionHistory => self.action_histogram.clone(),
@@ -773,15 +573,10 @@ impl Environment for PhaseOrderEnv {
             }
             self.inc = self.inc_templates[idx].clone();
         }
-        // The episode starts pristine, so `applied` (cleared below) is an
-        // exact changing-pass sequence again.
-        self.snap_keys_valid = true;
         if !self.program_fps.is_empty() {
             self.current_fp = self.program_fps[self.program_cursor];
         }
-        self.seq_hash = SeqHash::new();
         self.applied.clear();
-        self.materialized = 0;
         self.program_cursor = (self.program_cursor + 1) % self.programs.len();
         self.steps_taken = 0;
         self.action_histogram = vec![0.0; self.num_actions()];
@@ -821,7 +616,7 @@ impl Environment for PhaseOrderEnv {
             .is_some_and(|q| q.is_quarantined(self.current_fp, pass_id));
 
         // Poll the injection plan at the step level (not inside the
-        // apply): whether a planned fault fires must not depend on cache
+        // apply): whether a planned fault fires must not depend on memo
         // warmth, or chaos runs would diverge between cold and warm runs.
         // Masked actions never attempt an apply, so they don't poll (and
         // don't advance the per-episode apply counters).
@@ -832,79 +627,25 @@ impl Environment for PhaseOrderEnv {
             autophase_passes::fault::poll(pass_id)
         };
         #[cfg(not(any(test, feature = "fault-injection")))]
-        let injected: Option<autophase_passes::checked::FaultKind> = None;
+        let injected: Option<FaultKind> = None;
 
-        // With a cache, the transition memo may already know whether this
-        // pass changes the current state — then the (deterministic) pass
-        // need not run at all, and `current` stays lazily stale until a
-        // miss forces materialization.
         let mut faulted = false;
         let changed = if quarantined {
             // Masked: a known repeat offender on this program. Scored
             // like a faulted apply — no-op, zero reward — without even
             // attempting the pass.
             false
-        } else if injected.is_some() {
-            // Injected faults are keyed to per-episode apply counters, not
-            // to module state, so the transition memo is bypassed in both
-            // directions: a hit would skip the planned fault, a write
-            // would poison fault-free runs.
-            self.materialize();
-            match apply_checked_traced(&mut self.current, pass_id, &self.cfg.fuel, injected) {
-                Ok((c, cs)) => {
-                    if c {
-                        self.note_change(&cs);
-                        if self.cache.is_some() {
-                            self.materialized += 1;
-                        }
-                    }
-                    c
-                }
-                Err(_) => {
-                    faulted = true;
-                    false
-                }
-            }
-        } else if self.cache.is_some() {
-            let key = CacheKey {
-                program: self.current_fp,
-                seq: self.seq_hash.value(),
-            };
-            // `transition` returns an owned answer, so this narrow borrow
-            // replaces the old per-step `Arc` clone (an atomic refcount
-            // bump on every step of every worker).
-            match self
-                .cache
-                .as_deref()
-                .and_then(|c| c.transition(&key, pass_id))
-            {
-                Some(c) => c,
-                None => {
-                    self.materialize();
-                    let (c, f) = self.apply_and_record(pass_id);
-                    faulted = f;
-                    // Faulted transitions are never memoized: quarantine
-                    // counts *repeat* offenses, and a memo hit would
-                    // silently absorb every later one.
-                    if !faulted {
-                        if let Some(cache) = self.cache.as_deref() {
-                            cache.record_transition(key, pass_id, c);
-                        }
-                    }
-                    if c {
-                        // `applied` gains this pass below; `current`
-                        // already reflects it.
-                        self.materialized += 1;
-                    }
-                    c
-                }
-            }
-        } else if let Some(c) = self.snapshot_lookup(pass_id) {
-            // Incremental mode, previously walked transition: the pass
-            // did not run — the recorded result was restored instead.
+        } else if let Some(c) = injected
+            .is_none()
+            .then(|| self.snapshot_lookup(pass_id))
+            .flatten()
+        {
+            // A previously walked transition: the pass did not run — the
+            // recorded result was restored instead. A planned fault
+            // bypasses the memo, or a warm memo would absorb it.
             c
         } else {
-            let (c, f) = self.apply_and_record(pass_id);
+            let (c, f) = self.apply_and_record(pass_id, injected);
             faulted = f;
             c
         };
@@ -917,17 +658,7 @@ impl Environment for PhaseOrderEnv {
             }
         }
         if changed {
-            // Only changing passes enter the key: every no-op-padded
-            // variant of one effective sequence shares a cache entry.
-            self.seq_hash.push(pass_id);
-            if self.cache.is_some() || self.inc.is_some() {
-                self.applied.push(pass_id);
-                if self.cache.is_none() {
-                    // Without a cache there is no lazy materialization:
-                    // `current` always reflects the whole sequence.
-                    self.materialized = self.applied.len();
-                }
-            }
+            self.applied.push(pass_id as u16);
         }
         self.action_histogram[action] += 1.0;
         self.steps_taken += 1;
@@ -976,8 +707,8 @@ pub fn apply_and_profile(program: &Module, seq: &[usize], hls: &HlsConfig) -> (M
     (m, cycles)
 }
 
-/// One full-sequence evaluation: the features and cycle count the caller
-/// needs whether or not the module itself was materialized.
+/// One full-sequence evaluation: the optimized module's features and
+/// cycle count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqEval {
     /// Table-2 features of the optimized module.
@@ -985,64 +716,56 @@ pub struct SeqEval {
     /// Cycle count of the optimized module (`u64::MAX / 4` when the
     /// profile failed).
     pub cycles: u64,
-    /// Whether the evaluation was answered from the cache (no compile,
-    /// no profile).
+    /// Whether the profile was answered from the cache (no profiler run).
     pub cache_hit: bool,
 }
 
-/// [`apply_and_profile`] with memoization: keyed on the *raw* pass
-/// sequence, so a hit skips pass application, profiling, and feature
-/// extraction entirely. `program_fp` is the pristine program's
-/// [`fingerprint_module`] (compute it once per program, not per call).
-/// Failed profiles are evaluated but never cached.
+/// [`apply_and_profile`] through the evaluation cache: apply the
+/// sequence, fingerprint the result, then take its profile from `cache`
+/// or run the profiler and cache the report. Any sequence reaching an
+/// already-profiled module — in particular every no-op-padded variant of
+/// one effective sequence — is a hit. Failed profiles are never cached.
 pub fn evaluate_sequence_cached(
     program: &Module,
-    program_fp: u64,
     seq: &[usize],
     hls: &HlsConfig,
     cache: &EvalCache,
 ) -> SeqEval {
-    let key = CacheKey {
-        program: program_fp,
-        seq: SeqHash::of(seq),
-    };
-    if let Some(entry) = cache.get(&key) {
+    let mut m = program.clone();
+    registry::apply_sequence(&mut m, seq);
+    let features = extract(&m);
+    let fp = fingerprint_module(&m);
+    if let Some(report) = cache.get(fp) {
         return SeqEval {
-            features: entry.features,
-            cycles: entry.cycles,
+            features,
+            cycles: report.cycles,
             cache_hit: true,
         };
     }
-    let mut m = program.clone();
-    registry::apply_sequence(&mut m, seq);
-    match profile_module(&m, hls) {
+    let cycles = match profile_module(&m, hls) {
         Ok(report) => {
-            let entry = CacheEntry::from_report(&m, &report);
-            let eval = SeqEval {
-                features: entry.features,
-                cycles: entry.cycles,
-                cache_hit: false,
-            };
-            cache.insert(key, entry);
-            eval
+            let cycles = report.cycles;
+            cache.insert(fp, Arc::new(report));
+            cycles
         }
-        Err(_) => SeqEval {
-            features: extract(&m),
-            cycles: u64::MAX / 4,
-            cache_hit: false,
-        },
+        Err(_) => u64::MAX / 4,
+    };
+    SeqEval {
+        features,
+        cycles,
+        cache_hit: false,
     }
 }
 
-/// [`sequence_cycles`] with memoization (see [`evaluate_sequence_cached`]).
+/// [`sequence_cycles`] through the evaluation cache (see
+/// [`evaluate_sequence_cached`]).
 pub fn sequence_cycles_cached(
     program: &Module,
-    program_fp: u64,
     seq: &[usize],
     hls: &HlsConfig,
     cache: &EvalCache,
 ) -> u64 {
-    evaluate_sequence_cached(program, program_fp, seq, hls, cache).cycles
+    evaluate_sequence_cached(program, seq, hls, cache).cycles
 }
 
 /// Cycle count of the unoptimized (`-O0`) program.
@@ -1213,7 +936,7 @@ mod tests {
         let prefix = autophase_features::FILTERED_FEATURES.len();
         assert_eq!(&o[..prefix], &ob[..prefix]);
         // Observations stay consistent while stepping (the structural
-        // block is extracted from the materialized module each step).
+        // block is extracted from the live module each step).
         let mem2reg = env.action_passes().iter().position(|&p| p == 38).unwrap();
         let r = env.step(mem2reg);
         assert_eq!(r.observation.len(), expected);
@@ -1332,7 +1055,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_fault_bypasses_the_transition_memo() {
+    fn injected_fault_bypasses_the_snapshot_memo() {
         use autophase_passes::fault::{self, FaultPlan, FaultSpec};
         let _g = fault::test_guard();
         fault::quiet_panic_hook();
@@ -1346,6 +1069,7 @@ mod tests {
         env.reset_to(9010);
         let clean = env.step(38);
         assert!(clean.reward > 0.0);
+        let (hits, _) = env.snapshot_stats();
         // Same state, warm memo — the planned fault must still fire.
         let plan = fault::install_plan(FaultPlan::new(vec![FaultSpec {
             pass: 38,
@@ -1357,13 +1081,19 @@ mod tests {
         let r = env.step(38);
         assert_eq!(r.reward, 0.0, "memo hit must not absorb a planned fault");
         assert_eq!(plan.fired(), 1);
+        assert_eq!(
+            env.snapshot_stats().0,
+            hits,
+            "a planned fault is no memo hit"
+        );
         fault::clear_plan();
         // The fault wrote nothing into the memo: a fresh episode replays
-        // the clean transition bit-identically.
+        // the clean transition bit-identically, from the memo.
         env.reset_to(9012);
         let again = env.step(38);
         assert_eq!(again.reward, clean.reward);
         assert_eq!(again.observation, clean.observation);
+        assert_eq!(env.snapshot_stats().0, hits + 1);
     }
 
     #[test]
@@ -1440,28 +1170,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_isolation_off_reproduces_the_unchecked_path() {
-        use autophase_passes::fault;
-        let _g = fault::test_guard();
-        fault::clear_plan();
-        let unchecked_cfg = EnvConfig {
-            fault_isolation: false,
-            ..EnvConfig::default()
-        };
-        let mut checked = PhaseOrderEnv::single(small_program(), EnvConfig::default());
-        let mut unchecked = PhaseOrderEnv::single(small_program(), unchecked_cfg);
-        let o1 = checked.reset();
-        let o2 = unchecked.reset();
-        assert_eq!(o1, o2);
-        for &a in &[38usize, 23, 31, 30, 7, 28] {
-            let r1 = checked.step(a);
-            let r2 = unchecked.step(a);
-            assert_eq!(r1.reward, r2.reward, "pass {a}");
-            assert_eq!(r1.observation, r2.observation, "pass {a}");
-        }
-    }
-
-    #[test]
     fn incremental_env_bit_identical_to_full_recompute() {
         // Same actions, same program: the incremental env must produce
         // exactly the observations/rewards of the full-recompute baseline,
@@ -1500,18 +1208,18 @@ mod tests {
     }
 
     #[test]
-    fn profile_memo_serves_repeat_states_without_sampling() {
+    fn profile_cache_serves_repeat_states_without_sampling() {
         let mut env = PhaseOrderEnv::single(small_program(), EnvConfig::default());
         env.reset();
         let after_first_reset = env.samples();
         assert!(after_first_reset > 0);
         // Second episode on the same program: the reset-state profile is a
-        // content-fingerprint memo hit, not a new profiler run.
+        // content-fingerprint cache hit, not a new profiler run.
         env.reset();
         assert_eq!(
             env.samples(),
             after_first_reset,
-            "pristine-state re-profile must be a memo hit"
+            "pristine-state re-profile must be a cache hit"
         );
         // And a step that revisits a previously profiled post-pass state
         // (same pass, fresh episode) is also free.

@@ -198,11 +198,12 @@ pub fn fig8_on(programs: &[Module], iterations: usize, seed: u64) -> Vec<Learnin
 }
 
 /// Like [`fig8_on`], but every curve's environment shares `cache`, so a
-/// `(program, pass-sequence)` state profiled while training one curve is
-/// a cache hit for the others. Cache entries are configuration-independent
-/// — keys are absolute pass ids and values are raw profiler outputs, while
-/// normalization/filtering happen downstream in the environment — so the
-/// curves are bit-identical to the uncached [`fig8_on`].
+/// module state profiled while training one curve is a cache hit for the
+/// others. Cache entries are configuration-independent — keys are module
+/// content fingerprints and values are raw profiler reports, while the
+/// objective, normalization and filtering happen downstream in the
+/// environment — so the curves are bit-identical to [`fig8_on`], where
+/// every curve's environment has a private cache.
 pub fn fig8_on_cached(
     programs: &[Module],
     iterations: usize,

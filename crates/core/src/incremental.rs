@@ -1,24 +1,19 @@
 //! Incremental evaluation state for the phase-ordering environment.
 //!
 //! The environment applies one pass per step, and a pass typically touches
-//! one function out of many. This module keeps every derived quantity the
-//! reward loop needs — per-function content fingerprints, the per-function
-//! feature decomposition, and whole-module profile results — keyed or
-//! maintained so that a step's cost is proportional to what the pass
-//! actually changed:
+//! one function out of many. This module keeps the derived quantities the
+//! reward loop needs — per-function content fingerprints and the
+//! per-function feature decomposition — maintained so that a step's cost
+//! is proportional to what the pass actually changed:
 //!
 //! * [`IncrementalEval`] pairs the fingerprint memo
 //!   ([`ModuleFingerprints`]) with the feature decomposition
 //!   ([`IncrementalFeatures`]) and routes a pass's `ChangeSet` to both,
 //!   re-hashing/re-extracting only dirty functions (falling back to a
-//!   full rebuild on structural or signature changes);
-//! * [`ProfileMemo`] memoizes whole-module [`HlsReport`]s by the
-//!   *content* fingerprint of the module, so any pass sequence that
-//!   reaches an already-profiled module state — every episode reset, a
-//!   no-op-heavy tail, two orders that commute — skips the interpreter
-//!   and scheduler entirely. Content addressing also makes it immune to
-//!   transaction rollbacks: a rolled-back module is bit-identical to its
-//!   pre-pass state, whose fingerprint was already memoized;
+//!   full rebuild on structural or signature changes). Its module
+//!   fingerprint is the key of the
+//!   [`EvalCache`](crate::eval_cache::EvalCache), which holds the
+//!   whole-module profile results;
 //! * [`SnapshotMemo`] memoizes whole *step transitions* — `(program,
 //!   changing-pass sequence, pass) → post-pass module snapshot` — so
 //!   re-walking a previously explored sequence (the steady state of a
@@ -26,13 +21,12 @@
 //!   recorded copy-on-write snapshot instead of re-running analyses and
 //!   rewrites.
 //!
-//! Both stores only ever change *when* work happens, never *what* the
-//! results are: the differential suites assert bit-identical features and
-//! cycle counts against the from-scratch paths.
+//! Both only ever change *when* work happens, never *what* the results
+//! are: the differential suites assert bit-identical features and cycle
+//! counts against the from-scratch paths.
 
 use crate::eval_cache::ModuleFingerprints;
 use autophase_features::IncrementalFeatures;
-use autophase_hls::profile::HlsReport;
 use autophase_ir::{FuncId, Module};
 use autophase_passes::changeset::ChangeSet;
 use autophase_telemetry as telemetry;
@@ -260,106 +254,6 @@ impl Default for SnapshotMemo {
     }
 }
 
-/// LRU memo of whole-module profile results keyed by module *content*
-/// fingerprint.
-///
-/// Unlike the shared [`EvalCache`](crate::eval_cache::EvalCache) — keyed
-/// by `(pristine program, pass-sequence hash)` so workers can share
-/// entries without ever materializing modules — this memo is env-local and
-/// content-addressed: two different pass sequences that produce the same
-/// module share one entry, and every episode's reset state hits after the
-/// first episode. Failed profiles are never memoized.
-#[derive(Debug)]
-pub struct ProfileMemo {
-    map: HashMap<u64, (u64, Arc<HlsReport>)>,
-    capacity: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Default capacity. A report is ~100 bytes, so even full this is small.
-pub const DEFAULT_PROFILE_MEMO_CAPACITY: usize = 65_536;
-
-impl ProfileMemo {
-    /// An empty memo holding at most `capacity` reports.
-    pub fn new(capacity: usize) -> ProfileMemo {
-        ProfileMemo {
-            map: HashMap::new(),
-            capacity: capacity.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Look up the report for module fingerprint `fp`.
-    pub fn get(&mut self, fp: u64) -> Option<Arc<HlsReport>> {
-        self.tick += 1;
-        match self.map.get_mut(&fp) {
-            Some((stamp, report)) => {
-                *stamp = self.tick;
-                self.hits += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.profile_memo", "hit", 1);
-                }
-                Some(Arc::clone(report))
-            }
-            None => {
-                self.misses += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.profile_memo", "miss", 1);
-                }
-                None
-            }
-        }
-    }
-
-    /// Memoize a (successful) profile of the module with fingerprint `fp`,
-    /// evicting the least-recently-used entry at capacity.
-    pub fn insert(&mut self, fp: u64, report: Arc<HlsReport>) {
-        self.tick += 1;
-        if self.map.len() >= self.capacity && !self.map.contains_key(&fp) {
-            if let Some((&old, _)) = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp) {
-                self.map.remove(&old);
-                self.evictions += 1;
-                if telemetry::enabled() {
-                    telemetry::incr("core.profile_memo", "evict", 1);
-                }
-            }
-        }
-        self.map.insert(fp, (self.tick, report));
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Entries evicted under capacity pressure since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Number of memoized reports.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl Default for ProfileMemo {
-    fn default() -> ProfileMemo {
-        ProfileMemo::new(DEFAULT_PROFILE_MEMO_CAPACITY)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -418,29 +312,6 @@ mod tests {
         // Different program index or sequence: miss.
         assert!(memo.get(1, vec![38]).is_none());
         assert!(memo.get(0, vec![38, 23]).is_none());
-        assert_eq!(memo.stats(), (2, 2));
-    }
-
-    #[test]
-    fn memo_roundtrip_and_lru() {
-        let mut memo = ProfileMemo::new(2);
-        let r = |cycles| {
-            Arc::new(HlsReport {
-                cycles,
-                total_states: 0,
-                area: autophase_hls::area::AreaReport::default(),
-                insts_executed: 0,
-                return_value: None,
-            })
-        };
-        assert!(memo.get(1).is_none());
-        memo.insert(1, r(10));
-        memo.insert(2, r(20));
-        assert_eq!(memo.get(1).unwrap().cycles, 10); // refresh 1
-        memo.insert(3, r(30)); // evicts 2
-        assert_eq!(memo.len(), 2);
-        assert!(memo.get(2).is_none());
-        assert_eq!(memo.get(3).unwrap().cycles, 30);
         assert_eq!(memo.stats(), (2, 2));
     }
 }

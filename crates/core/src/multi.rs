@@ -9,7 +9,7 @@
 //! of the per-slot log-probabilities.
 
 use crate::env::{apply_and_profile, evaluate_sequence_cached};
-use crate::eval_cache::{fingerprint_module, EvalCache};
+use crate::eval_cache::EvalCache;
 use autophase_features::{normalize_to_inst_count, FeatureVector, NUM_FEATURES};
 use autophase_hls::HlsConfig;
 use autophase_ir::Module;
@@ -191,10 +191,10 @@ impl MultiActionAgent {
         (best_seq, best_cycles)
     }
 
-    /// [`MultiActionAgent::train`] with a memoized compiler: every
-    /// candidate sequence is compiled and profiled at most once per cache
-    /// lifetime, and [`MultiActionAgent::samples`] counts only real
-    /// compilations. Training is bit-identical to the uncached path (same
+    /// [`MultiActionAgent::train`] through the evaluation cache: every
+    /// reached module is profiled at most once per cache lifetime, and
+    /// [`MultiActionAgent::samples`] counts only real profiler runs.
+    /// Training is bit-identical to the uncached path (same
     /// RNG stream, same rewards, same result) — the determinism tests
     /// assert exact equality.
     pub fn train_cached(
@@ -204,9 +204,8 @@ impl MultiActionAgent {
         iterations: usize,
         cache: &EvalCache,
     ) -> (Vec<usize>, u64) {
-        let fp = fingerprint_module(program);
         let eval = |samples: &mut u64, seq: &[usize]| {
-            let e = evaluate_sequence_cached(program, fp, seq, hls, cache);
+            let e = evaluate_sequence_cached(program, seq, hls, cache);
             if !e.cache_hit {
                 *samples += 1;
             }

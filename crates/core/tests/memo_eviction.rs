@@ -1,12 +1,13 @@
-//! LRU eviction behaviour of the incremental-evaluation memos under
-//! capacity pressure.
+//! LRU eviction behaviour of the evaluation cache and the snapshot memo
+//! under capacity pressure.
 //!
 //! Eviction must be invisible to correctness: an evicted entry costs a
 //! recompute, and the recomputed result must be bit-identical to what the
 //! memo would have returned. The telemetry eviction counters must advance
 //! so capacity pressure is observable in production.
 
-use autophase_core::incremental::{IncrementalEval, ProfileMemo, SnapEntry, SnapshotMemo};
+use autophase_core::eval_cache::{fingerprint_module, EvalCache};
+use autophase_core::incremental::{IncrementalEval, SnapEntry, SnapshotMemo};
 use autophase_hls::profile::profile_module;
 use autophase_hls::HlsConfig;
 use autophase_ir::printer::print_module;
@@ -26,19 +27,17 @@ fn programs() -> Vec<Module> {
 }
 
 #[test]
-fn profile_memo_evicts_lru_and_recompute_is_bit_identical() {
+fn profile_cache_evicts_lru_and_recompute_is_bit_identical() {
     let programs = programs();
     let cfg = HlsConfig::default();
     let reports: Vec<_> = programs
         .iter()
         .map(|m| profile_module(m, &cfg).expect("suite programs profile"))
         .collect();
-    let fps: Vec<u64> = programs
-        .iter()
-        .map(autophase_core::eval_cache::fingerprint_module)
-        .collect();
+    let fps: Vec<u64> = programs.iter().map(fingerprint_module).collect();
 
-    let mut memo = ProfileMemo::new(2);
+    // One shard, so capacity 2 is the whole cache's LRU budget.
+    let memo = EvalCache::with_shards(2, 1);
     memo.insert(fps[0], Arc::new(reports[0].clone()));
     memo.insert(fps[1], Arc::new(reports[1].clone()));
     assert_eq!(memo.evictions(), 0);
@@ -64,15 +63,15 @@ fn profile_memo_evicts_lru_and_recompute_is_bit_identical() {
 }
 
 #[test]
-fn profile_memo_churn_under_sustained_pressure() {
+fn profile_cache_churn_under_sustained_pressure() {
     let programs = programs();
     let cfg = HlsConfig::default();
-    let mut memo = ProfileMemo::new(2);
+    let memo = EvalCache::with_shards(2, 1);
     // Stream all programs through a 2-entry memo several times: every
     // round evicts, and every served value stays correct.
     for round in 0..3 {
         for (i, m) in programs.iter().enumerate() {
-            let fp = autophase_core::eval_cache::fingerprint_module(m);
+            let fp = fingerprint_module(m);
             let expected = profile_module(m, &cfg).expect("profiles");
             let served = match memo.get(fp) {
                 Some(hit) => hit,
@@ -133,10 +132,7 @@ fn snapshot_memo_evicts_lru_and_recompute_is_bit_identical() {
     let restored = memo.get(0, vec![passes[0]]).expect("reinserted");
     if let Some((rm, re)) = restored.state_clone() {
         assert_eq!(print_module(&rm), results[0].1);
-        assert_eq!(
-            re.module_fp(),
-            autophase_core::eval_cache::fingerprint_module(&rm)
-        );
+        assert_eq!(re.module_fp(), fingerprint_module(&rm));
     }
 }
 
@@ -145,7 +141,7 @@ fn eviction_telemetry_counters_advance() {
     telemetry::reset();
     telemetry::enable();
 
-    let mut pm = ProfileMemo::new(1);
+    let pm = EvalCache::with_shards(1, 1);
     let report = Arc::new(autophase_hls::profile::HlsReport {
         cycles: 1,
         total_states: 0,
@@ -173,8 +169,8 @@ fn eviction_telemetry_counters_advance() {
             .unwrap_or(0)
     };
     assert!(
-        counter("core.profile_memo", "evict") >= 2,
-        "profile memo eviction counter must advance"
+        counter("evalcache.evictions", "") >= 2,
+        "evaluation cache eviction counter must advance"
     );
     assert!(
         counter("core.snap_memo", "evict") >= 1,

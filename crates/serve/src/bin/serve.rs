@@ -34,7 +34,7 @@
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{ArmoredLoad, PolicyCheckpoint};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::serve_layout;
 use autophase_serve::learner::LearnerConfig;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::stats::StatsSnapshot;
@@ -157,7 +157,7 @@ fn run_daemon(args: &[String]) {
         None => {
             eprintln!("serve: no --checkpoint, using an UNTRAINED policy");
             Some(Mlp::new(
-                &[serve_obs_dim(), 32, serve_num_actions()],
+                &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
                 Activation::Tanh,
                 7,
             ))

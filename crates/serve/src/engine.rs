@@ -24,9 +24,7 @@
 //! ([`InferenceEngine::inject_faults`]) hit the same surface the real
 //! ones do, so chaos tests exercise the production degradation path.
 
-use autophase_core::env::{
-    EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind, FILTERED_PASSES,
-};
+use autophase_core::env::{EnvConfig, FeatureNorm, ObservationKind, RewardKind, FILTERED_PASSES};
 use autophase_core::Quarantine;
 use autophase_features::{inst_count_filtered, IncrementalFeatures, FILTERED_FEATURES};
 use autophase_ir::Module;
@@ -106,23 +104,6 @@ pub fn serve_layout() -> ObsLayout {
         FILTERED_PASSES.len(),
         SERVE_EPISODE_LEN,
     )
-}
-
-/// Observation width of [`serve_env_config`]: filtered features plus the
-/// action histogram.
-pub fn serve_obs_dim() -> usize {
-    serve_layout().obs_dim()
-}
-
-/// Action count of [`serve_env_config`].
-pub fn serve_num_actions() -> usize {
-    serve_layout().num_actions()
-}
-
-/// A sanity environment over `program` in the serving configuration —
-/// what `serve_bench` trains on.
-pub fn serve_env(programs: Vec<Module>) -> PhaseOrderEnv {
-    PhaseOrderEnv::new(programs, serve_env_config())
 }
 
 /// Why the policy path could not answer.
@@ -905,7 +886,7 @@ mod tests {
 
     fn test_policy(seed: u64) -> Mlp {
         Mlp::new(
-            &[serve_obs_dim(), 16, serve_num_actions()],
+            &[serve_layout().obs_dim(), 16, serve_layout().num_actions()],
             autophase_nn::mlp::Activation::Tanh,
             seed,
         )
@@ -928,7 +909,7 @@ mod tests {
                 let policy = policy.clone();
                 std::thread::spawn(move || {
                     for k in 0..20 {
-                        let obs: Vec<f64> = (0..serve_obs_dim())
+                        let obs: Vec<f64> = (0..serve_layout().obs_dim())
                             .map(|j| ((i * 31 + k * 7 + j) % 13) as f64 / 13.0)
                             .collect();
                         let got = engine.infer(obs.clone()).unwrap();
@@ -947,14 +928,16 @@ mod tests {
         let engine = InferenceEngine::start(test_policy(5), EngineConfig::default()).unwrap();
         assert_eq!(engine.infer(vec![0.0; 3]), Err(PolicyFault::Inference));
         // The engine keeps serving well-formed observations afterwards.
-        assert!(engine.infer(vec![0.0; serve_obs_dim()]).is_ok());
+        assert!(engine.infer(vec![0.0; serve_layout().obs_dim()]).is_ok());
     }
 
     #[test]
     fn infer_sized_reports_the_serving_batch() {
         let engine = InferenceEngine::start(test_policy(6), EngineConfig::default()).unwrap();
-        let (logits, batch, version) = engine.infer_sized(vec![0.0; serve_obs_dim()]).unwrap();
-        assert_eq!(logits.len(), serve_num_actions());
+        let (logits, batch, version) = engine
+            .infer_sized(vec![0.0; serve_layout().obs_dim()])
+            .unwrap();
+        assert_eq!(logits.len(), serve_layout().num_actions());
         assert_eq!(batch, 1, "a lone request is a batch of one");
         assert_eq!(version, 0, "boot policy serves as version 0");
     }
@@ -965,7 +948,9 @@ mod tests {
         let new = test_policy(32);
         let engine =
             Arc::new(InferenceEngine::start(old.clone(), EngineConfig::default()).unwrap());
-        let obs: Vec<f64> = (0..serve_obs_dim()).map(|j| (j % 5) as f64 / 5.0).collect();
+        let obs: Vec<f64> = (0..serve_layout().obs_dim())
+            .map(|j| (j % 5) as f64 / 5.0)
+            .collect();
         assert_eq!(engine.infer(obs.clone()).unwrap(), old.forward(&obs));
 
         // Hammer inference from several threads across 20 swaps: every
@@ -1040,7 +1025,9 @@ mod tests {
             }
         }
         assert!(saw_a && saw_b, "hash split uses both slots");
-        let obs: Vec<f64> = (0..serve_obs_dim()).map(|j| (j % 3) as f64).collect();
+        let obs: Vec<f64> = (0..serve_layout().obs_dim())
+            .map(|j| (j % 3) as f64)
+            .collect();
         let (logits_a, _, va) = engine.infer_routed(obs.clone(), Route::A).unwrap();
         let (logits_b, _, vb) = engine.infer_routed(obs.clone(), Route::B).unwrap();
         assert_eq!((va, vb), (0, 7));
@@ -1068,8 +1055,8 @@ mod tests {
         assert_eq!(report.steps.len(), SERVE_EPISODE_LEN);
         assert_eq!(report.policy_version, 0);
         for step in &report.steps {
-            assert_eq!(step.obs.len(), serve_obs_dim());
-            assert!(step.action < serve_num_actions());
+            assert_eq!(step.obs.len(), serve_layout().obs_dim());
+            assert!(step.action < serve_layout().num_actions());
             assert!(step.logp <= 0.0 && step.logp.is_finite());
         }
     }
@@ -1078,7 +1065,7 @@ mod tests {
     fn injected_faults_surface_and_drain() {
         let engine = InferenceEngine::start(test_policy(3), EngineConfig::default()).unwrap();
         engine.inject_faults(2);
-        let obs = vec![0.0; serve_obs_dim()];
+        let obs = vec![0.0; serve_layout().obs_dim()];
         assert_eq!(engine.infer(obs.clone()), Err(PolicyFault::Inference));
         assert_eq!(engine.infer(obs.clone()), Err(PolicyFault::Inference));
         assert!(engine.infer(obs).is_ok(), "faults must drain");
@@ -1089,7 +1076,7 @@ mod tests {
         quiet_crash_hook();
         let engine = InferenceEngine::start(test_policy(21), EngineConfig::default()).unwrap();
         engine.inject_crashes(1);
-        let obs = vec![0.0; serve_obs_dim()];
+        let obs = vec![0.0; serve_layout().obs_dim()];
         // The crashed batch answers with a fault (never hangs) ...
         assert_eq!(engine.infer(obs.clone()), Err(PolicyFault::Inference));
         // ... and the supervisor respawns the loop, so the engine keeps
@@ -1103,7 +1090,7 @@ mod tests {
         let mut engine = InferenceEngine::start_baseline_only();
         assert!(engine.is_baseline_only());
         assert_eq!(
-            engine.infer(vec![0.0; serve_obs_dim()]),
+            engine.infer(vec![0.0; serve_layout().obs_dim()]),
             Err(PolicyFault::Inference)
         );
         // The rollout degrades up front: the first inference faults, so
@@ -1125,7 +1112,7 @@ mod tests {
         let mut engine = InferenceEngine::start(test_policy(9), EngineConfig::default()).unwrap();
         engine.shutdown();
         assert_eq!(
-            engine.infer(vec![0.0; serve_obs_dim()]),
+            engine.infer(vec![0.0; serve_layout().obs_dim()]),
             Err(PolicyFault::Shutdown)
         );
     }

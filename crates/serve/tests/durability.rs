@@ -14,7 +14,7 @@ use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{Algo, ArmoredLoad, PolicyCheckpoint};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{quiet_crash_hook, serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::{quiet_crash_hook, serve_layout};
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::{BestEntry, BestStore, CompactionPolicy};
@@ -158,7 +158,7 @@ proptest! {
 
 fn test_policy() -> Mlp {
     Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
+        &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
         Activation::Tanh,
         7,
     )
@@ -223,7 +223,7 @@ fn corrupt_checkpoint_never_kills_serving() {
     let ckpt = PolicyCheckpoint {
         algo: Algo::Ppo,
         policy: test_policy(),
-        value: Mlp::new(&[serve_obs_dim(), 16, 1], Activation::Tanh, 11),
+        value: Mlp::new(&[serve_layout().obs_dim(), 16, 1], Activation::Tanh, 11),
     };
     let clean = dir.join("clean.ckpt");
     ckpt.save(&clean).unwrap();

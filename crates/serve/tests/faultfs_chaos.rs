@@ -9,7 +9,7 @@
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::serve_layout;
 use autophase_serve::protocol::Source;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::store::{BestEntry, BestStore, CompactionPolicy};
@@ -54,7 +54,7 @@ fn enospc_degrades_to_serving_without_recording_then_recovers() {
     wipe(&store);
     let server = Server::start(
         Mlp::new(
-            &[serve_obs_dim(), 32, serve_num_actions()],
+            &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
             Activation::Tanh,
             7,
         ),

@@ -11,7 +11,7 @@ use autophase_nn::mlp::{Activation, Mlp};
 use autophase_rl::checkpoint::{Algo, PolicyCheckpoint};
 use autophase_rl::registry::ModelRegistry;
 use autophase_serve::client::{Client, ClientError};
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::serve_layout;
 use autophase_serve::learner::LearnerConfig;
 use autophase_serve::protocol::{ErrKind, Source};
 use autophase_serve::server::{Server, ServerConfig};
@@ -27,7 +27,7 @@ fn tmp(name: &str) -> PathBuf {
 
 fn test_policy(seed: u64) -> Mlp {
     Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
+        &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
         Activation::Tanh,
         seed,
     )
@@ -37,7 +37,11 @@ fn test_ckpt(seed: u64) -> PolicyCheckpoint {
     PolicyCheckpoint {
         algo: Algo::Ppo,
         policy: test_policy(seed),
-        value: Mlp::new(&[serve_obs_dim(), 8, 1], Activation::Tanh, seed ^ 0xF00),
+        value: Mlp::new(
+            &[serve_layout().obs_dim(), 8, 1],
+            Activation::Tanh,
+            seed ^ 0xF00,
+        ),
     }
 }
 

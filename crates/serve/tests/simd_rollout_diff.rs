@@ -23,14 +23,12 @@ use autophase_ir::printer::print_module;
 use autophase_ir::Module;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_passes::checked::{apply_checked, FuelBudget};
-use autophase_serve::engine::{
-    serve_num_actions, serve_obs_dim, EngineConfig, InferenceEngine, SERVE_EPISODE_LEN,
-};
+use autophase_serve::engine::{serve_layout, EngineConfig, InferenceEngine, SERVE_EPISODE_LEN};
 use proptest::prelude::*;
 
 fn test_policy(seed: u64) -> Mlp {
     Mlp::new(
-        &[serve_obs_dim(), 24, serve_num_actions()],
+        &[serve_layout().obs_dim(), 24, serve_layout().num_actions()],
         Activation::Tanh,
         seed,
     )
@@ -46,7 +44,7 @@ fn reference_rollout(
     quarantine: &Quarantine,
     fuel: &FuelBudget,
 ) -> Vec<usize> {
-    let mut histogram = vec![0.0f64; serve_num_actions()];
+    let mut histogram = vec![0.0f64; serve_layout().num_actions()];
     let mut feats = inst_count_filtered(&extract(m));
     let mut applied = Vec::new();
     for _ in 0..SERVE_EPISODE_LEN {

@@ -7,7 +7,7 @@
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::serve_layout;
 use autophase_serve::protocol::{ErrKind, Source};
 use autophase_serve::server::{Server, ServerConfig};
 use std::path::{Path, PathBuf};
@@ -24,7 +24,7 @@ fn tmp_store(name: &str) -> PathBuf {
 
 fn test_policy() -> Mlp {
     Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
+        &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
         Activation::Tanh,
         7,
     )

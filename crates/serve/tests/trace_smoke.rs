@@ -13,7 +13,7 @@
 use autophase_benchmarks::suite;
 use autophase_nn::mlp::{Activation, Mlp};
 use autophase_serve::client::Client;
-use autophase_serve::engine::{serve_num_actions, serve_obs_dim};
+use autophase_serve::engine::serve_layout;
 use autophase_serve::server::{Server, ServerConfig};
 use autophase_serve::Source;
 use autophase_telemetry as telemetry;
@@ -35,7 +35,7 @@ fn stats_traces_and_chaos_dump_on_a_live_daemon() {
     };
     cfg.flight.dump_dir = Some(dumps.clone());
     let policy = Mlp::new(
-        &[serve_obs_dim(), 32, serve_num_actions()],
+        &[serve_layout().obs_dim(), 32, serve_layout().num_actions()],
         Activation::Tanh,
         7,
     );

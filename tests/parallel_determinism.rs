@@ -7,17 +7,18 @@
 //!    worker environments produces bit-identical batches, because
 //!    collection is episode-indexed: episode `i` always runs on a fresh
 //!    reset with an RNG stream derived from `(seed, i)` alone.
-//! 2. **Cache transparency** — attaching an [`EvalCache`] changes how
-//!    often the profiler runs, never what any caller observes: rewards,
-//!    observations, cycle counts, and trained agents are identical with
-//!    and without it.
+//! 2. **Cache transparency** — profiling through an [`EvalCache`], private
+//!    or shared across envs, changes how often the profiler runs, never
+//!    what any caller observes: rewards, observations, cycle counts, and
+//!    trained agents are identical to the full-recompute reference.
 //! 3. **Thread safety** — hammering one cache from several threads loses
 //!    no updates and never yields a value that was not inserted for that
 //!    exact key.
 
 use autophase::core::env::{EnvConfig, FeatureNorm, ObservationKind, PhaseOrderEnv, RewardKind};
 use autophase::core::multi::{MultiActionAgent, MultiConfig};
-use autophase::core::{CacheEntry, CacheKey, EvalCache};
+use autophase::core::EvalCache;
+use autophase::hls::profile::HlsReport;
 use autophase::hls::HlsConfig;
 use autophase::progen::{program_batch, GenConfig};
 use autophase::rl::env::Environment;
@@ -104,52 +105,83 @@ fn parallel_rollout_matches_serial_on_phase_env() {
     }
 }
 
-/// The cache changes profiler traffic, not results: cached workers
-/// produce the same batch as uncached ones, while provably skipping
-/// compilations.
+/// The cache changes profiler traffic, not results: incremental envs
+/// sharing one cache produce the same batches as the full-recompute
+/// reference, while provably skipping profiler runs.
 #[test]
 fn cached_rollout_matches_uncached() {
     let ps = programs();
-    // Full-recompute configuration on both sides: the incremental layer
-    // (DESIGN.md §4f) skips profiler runs on its own, which would blur
-    // the books this test keeps on the *shared* cache. Its equivalence
-    // gates live in `incremental_diff.rs` and `rollout_bench`.
-    let cfg = EnvConfig {
+    // The reference never consults a cache: every profile query runs the
+    // profiler.
+    let full_cfg = EnvConfig {
         incremental: false,
         ..env_config()
     };
-    let mut plain_env = PhaseOrderEnv::new(ps.clone(), cfg.clone());
-    let agent = fresh_agent(&plain_env);
-    let n_episodes = 8;
-    let collect = |env: &mut PhaseOrderEnv| -> Batch {
+    let mut full_env = PhaseOrderEnv::new(ps.clone(), full_cfg);
+    let agent = fresh_agent(&full_env);
+    let half = 4;
+    let collect = |env: &mut PhaseOrderEnv, first: u64| -> Batch {
         rollout::collect_episodes(
             env,
             &agent.policy,
             &agent.value,
-            n_episodes,
-            0,
+            half,
+            first,
             EPISODE_LEN,
             99,
         )
     };
-    let reference = collect(&mut plain_env);
+    let reference = [
+        collect(&mut full_env, 0),
+        collect(&mut full_env, half as u64),
+    ];
 
+    // Two incremental envs share one cache, each collecting one half.
     let cache = Arc::new(EvalCache::default());
-    let mut cached_env = PhaseOrderEnv::with_cache(ps, cfg, Arc::clone(&cache));
-    let batch = collect(&mut cached_env);
+    let mut a = PhaseOrderEnv::with_cache(ps.clone(), env_config(), Arc::clone(&cache));
+    let mut b = PhaseOrderEnv::with_cache(ps, env_config(), Arc::clone(&cache));
+    let cached = [collect(&mut a, 0), collect(&mut b, half as u64)];
 
-    assert_batches_identical(&reference, &batch, "cached vs uncached");
+    for (i, (r, c)) in reference.iter().zip(&cached).enumerate() {
+        assert_batches_identical(r, c, &format!("cached vs full, half {i}"));
+    }
+    let cached_samples = a.samples() + b.samples();
     assert!(
-        cached_env.samples() < plain_env.samples(),
+        cached_samples < full_env.samples(),
         "cache saved no profiler runs ({} vs {})",
-        cached_env.samples(),
-        plain_env.samples()
+        cached_samples,
+        full_env.samples()
     );
     assert_eq!(
-        cached_env.samples() + cache.hits(),
-        plain_env.samples(),
+        cached_samples + cache.hits(),
+        full_env.samples(),
         "every skipped profile must be a cache hit"
     );
+}
+
+/// The cache is keyed by module content, not by how a state was reached:
+/// a program that equals another program's optimized state is a hit on
+/// the profile that program's episode already paid for.
+#[test]
+fn shared_cache_hits_a_state_reached_from_another_program() {
+    let p = programs().remove(0);
+    let mut p_mem2reg = p.clone();
+    assert!(autophase::passes::registry::apply(&mut p_mem2reg, 38));
+    let cache = Arc::new(EvalCache::default());
+    let cfg = EnvConfig::default();
+    let mut a = PhaseOrderEnv::with_cache(vec![p], cfg.clone(), Arc::clone(&cache));
+    a.reset();
+    let r = a.step(38); // -mem2reg
+    assert!(r.reward > 0.0, "mem2reg must change the program");
+    let profiled = a.samples();
+
+    let mut b = PhaseOrderEnv::with_cache(vec![p_mem2reg], cfg, Arc::clone(&cache));
+    let hits = cache.hits();
+    b.reset();
+    assert_eq!(b.samples(), 0, "B's reset state was already profiled by A");
+    assert_eq!(cache.hits(), hits + 1);
+    assert_eq!(b.last_cycles(), a.last_cycles());
+    assert_eq!(a.samples(), profiled);
 }
 
 /// Same-seed environments replayed step-for-step report identical cycle
@@ -163,9 +195,8 @@ fn cached_cycles_and_training_are_identical() {
 
     let plain = autophase::core::env::sequence_cycles(&program, &seq, &hls);
     let cache = EvalCache::default();
-    let fp = autophase::core::eval_cache::fingerprint_module(&program);
     for _ in 0..3 {
-        let cached = autophase::core::env::sequence_cycles_cached(&program, fp, &seq, &hls, &cache);
+        let cached = autophase::core::env::sequence_cycles_cached(&program, &seq, &hls, &cache);
         assert_eq!(plain, cached);
     }
     assert!(cache.hits() >= 2, "repeat evaluations should hit");
@@ -199,25 +230,20 @@ fn concurrent_cache_stress() {
                 for i in 0..keys_per_thread {
                     // Half the keys are shared across threads, half private.
                     let shared = i % 2 == 0;
-                    let program = if shared { i } else { t * 10_000 + i };
-                    let key = CacheKey { program, seq: i };
-                    let entry = CacheEntry {
-                        module_fingerprint: program,
-                        features: [program as i64; autophase::features::NUM_FEATURES],
-                        cycles: program * 3 + 1,
+                    let fp = if shared { i } else { t * 10_000 + i };
+                    let report = HlsReport {
+                        cycles: fp * 3 + 1,
+                        total_states: fp,
                         area: Default::default(),
-                        total_states: i,
                         insts_executed: i,
-                        return_value: Some(program as i64),
+                        return_value: Some(fp as i64),
                     };
-                    cache.insert(key, entry);
+                    cache.insert(fp, Arc::new(report));
                     // Whatever we read back (ours or a racing twin for the
                     // shared key) must carry that exact key's payload.
-                    if let Some(e) = cache.get(&key) {
-                        assert_eq!(e.cycles, e.module_fingerprint * 3 + 1);
-                        if shared {
-                            assert_eq!(e.module_fingerprint, program);
-                        }
+                    if let Some(r) = cache.get(fp) {
+                        assert_eq!(r.total_states, fp);
+                        assert_eq!(r.cycles, fp * 3 + 1);
                     }
                 }
             });
