@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test core-tests clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test core-tests serve-unit clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
 
-ci: build test core-tests telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
+ci: build test core-tests serve-unit telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
 
 build:
 	$(CARGO) build --release
@@ -18,6 +18,14 @@ test:
 # mode: the experiment-runner unit tests train real agents.
 core-tests:
 	$(CARGO) test -q --release -p autophase-core
+
+# The serve crate's own suites: the engine, store, protocol and server
+# unit tests (the engine's dispatch rule among them), and the rollout
+# bit-identity suite that pins the served orderings to the pre-SIMD
+# rollout.
+serve-unit:
+	$(CARGO) test -q --release -p autophase-serve --lib
+	$(CARGO) test -q --release -p autophase-serve --test simd_rollout_diff
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings

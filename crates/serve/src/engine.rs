@@ -1,19 +1,27 @@
 //! Batched policy inference and the greedy serving rollout.
 //!
 //! One dedicated thread owns the policy network. Request workers submit
-//! observations and block on a result slot; the engine thread collects
-//! everything that arrives within a small batching window (default
-//! 100 µs, capped at [`EngineConfig::max_batch`]) and runs the gathered
-//! batch through **one** SoA forward ([`SoaMlp::forward_batch`]) — one
-//! wake-up, one queue-lock round, and one batched GEMM per batch instead
-//! of per observation, which is where the throughput under concurrent
-//! load comes from. The SoA kernels are bit-identical to
-//! [`Mlp::forward`] (pinned by the nn crate's differential suite), so
-//! batching never changes a served decision. Batch sizes land in the
-//! `serve.batch_size` histogram, per-batch forward time in
-//! `serve.engine_ns{forward}` (kept out of the `serve.stage_ns` family,
-//! whose stages tile each request's timeline — a batch serves many
-//! requests at once, so its time is not any single request's segment).
+//! observations and block on a result slot. The engine counts its
+//! *active callers* — rollouts in flight plus bare
+//! [`infer`](InferenceEngine::infer) calls, each registered on entry and
+//! released by a drop guard — and dispatches a batch as soon as every
+//! active caller has an observation queued (or
+//! [`EngineConfig::max_batch`] are queued). It lingers only
+//! while some active caller may still submit, and at most
+//! [`EngineConfig::batch_window`]: a solo rollout never waits, while
+//! concurrent rollouts gather into **one** SoA forward
+//! ([`SoaMlp::forward_batch`]) — one wake-up, one queue-lock round, and
+//! one batched GEMM per batch instead of per observation, which is where
+//! the throughput under concurrent load comes from. The SoA kernels are
+//! bit-identical to [`Mlp::forward`] (pinned by the nn crate's
+//! differential suite), so batching never changes a served decision.
+//! Batch sizes land in the `serve.batch_size` histogram, per-batch
+//! forward time in `serve.engine_ns{forward}` (kept out of the
+//! `serve.stage_ns` family, whose stages tile each request's timeline —
+//! a batch serves many requests at once, so its time is not any single
+//! request's segment), and the condition that released each batch in
+//! the `serve.engine` counters `release_all_queued`, `release_max_batch`
+//! and `release_window`.
 //!
 //! The policy path is fault-isolated end to end: forward passes run
 //! under `catch_unwind` (a poisoned network answers with a typed
@@ -38,7 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Panic payload of an injected engine crash
 /// ([`InferenceEngine::inject_crashes`]) — lets test panic hooks
@@ -129,8 +137,10 @@ impl std::error::Error for PolicyFault {}
 /// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// How long the engine thread lingers for more arrivals after the
-    /// first observation of a batch.
+    /// Cap on how long the engine thread waits, after the first
+    /// observation of a batch, for the other active callers to queue
+    /// theirs. It is not a fixed linger: a batch dispatches as soon as
+    /// every active caller has queued, so a solo caller never waits.
     pub batch_window: Duration,
     /// Hard cap on observations per batch.
     pub max_batch: usize,
@@ -224,7 +234,33 @@ struct Job {
 
 struct Queue {
     jobs: Vec<Job>,
+    /// Callers that may still submit: rollouts in flight and bare
+    /// inferences, each held by a [`CallerGuard`].
+    active: usize,
     shutdown: bool,
+}
+
+impl Queue {
+    fn new() -> Queue {
+        Queue {
+            jobs: Vec::new(),
+            active: 0,
+            shutdown: false,
+        }
+    }
+}
+
+/// One registered caller of the engine. Dropping it — on return, early
+/// return or unwind — deregisters the caller and wakes the engine
+/// thread, which may be holding a batch for this caller's observation.
+struct CallerGuard<'a>(&'a (Mutex<Queue>, Condvar));
+
+impl Drop for CallerGuard<'_> {
+    fn drop(&mut self) {
+        let (lock, cv) = self.0;
+        lock_recover(lock).active -= 1;
+        cv.notify_all();
+    }
 }
 
 /// Handle to the inference thread (see module docs).
@@ -290,13 +326,7 @@ impl InferenceEngine {
         serve_layout()
             .check_policy(&policy)
             .map_err(|e| ShapeError(format!("{e} (train with serve_env_config())")))?;
-        let queue = Arc::new((
-            Mutex::new(Queue {
-                jobs: Vec::new(),
-                shutdown: false,
-            }),
-            Condvar::new(),
-        ));
+        let queue = Arc::new((Mutex::new(Queue::new()), Condvar::new()));
         let slot = Arc::new(PolicySlot {
             seq: AtomicU64::new(0),
             set: Mutex::new(ActiveSet {
@@ -357,13 +387,7 @@ impl InferenceEngine {
     /// when its checkpoint is quarantined at startup.
     pub fn start_baseline_only() -> InferenceEngine {
         InferenceEngine {
-            queue: Arc::new((
-                Mutex::new(Queue {
-                    jobs: Vec::new(),
-                    shutdown: false,
-                }),
-                Condvar::new(),
-            )),
+            queue: Arc::new((Mutex::new(Queue::new()), Condvar::new())),
             slot: None,
             chaos: Arc::new(AtomicU32::new(0)),
             crash: Arc::new(AtomicU32::new(0)),
@@ -526,7 +550,15 @@ impl InferenceEngine {
     ///
     /// Same contract as [`infer`](InferenceEngine::infer).
     pub fn infer_sized(&self, obs: Vec<f64>) -> Result<Inference, PolicyFault> {
+        let _caller = self.enter();
         self.infer_routed(obs, Route::A)
+    }
+
+    /// Register a caller that may submit observations until the guard
+    /// drops (see [`CallerGuard`]).
+    fn enter(&self) -> CallerGuard<'_> {
+        lock_recover(&self.queue.0).active += 1;
+        CallerGuard(&self.queue)
     }
 
     fn infer_routed(&self, obs: Vec<f64>, route: Route) -> Result<Inference, PolicyFault> {
@@ -589,6 +621,7 @@ impl InferenceEngine {
         quarantine: &Quarantine,
         fuel: &FuelBudget,
     ) -> Result<RolloutReport, PolicyFault> {
+        let _caller = self.enter();
         let layout = serve_layout();
         let route = self.route_for(fp);
         let mut histogram = vec![0.0f64; layout.num_actions()];
@@ -600,7 +633,7 @@ impl InferenceEngine {
         let mut report = RolloutReport::default();
         for _ in 0..self.episode_len {
             let obs = layout.compose(&feats, &histogram);
-            let infer_start = std::time::Instant::now();
+            let infer_start = Instant::now();
             report.infer_calls += 1;
             let (logits, batch, version) = self.infer_routed(obs.clone(), route)?;
             report.policy_version = version;
@@ -757,7 +790,7 @@ fn engine_loop(
     let mut wsb = BatchWorkspace::new();
     let (lock, cv) = &**queue;
     let mut q = lock_recover(lock);
-    loop {
+    'serve: loop {
         while q.jobs.is_empty() && !q.shutdown {
             q = cv.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
@@ -767,19 +800,36 @@ fn engine_loop(
             }
             return;
         }
-        // Linger one batching window for more arrivals, then drain.
-        if q.jobs.len() < cfg.max_batch && !cfg.batch_window.is_zero() {
-            let (guard, _) = cv
-                .wait_timeout(q, cfg.batch_window)
-                .unwrap_or_else(PoisonError::into_inner);
-            q = guard;
-        }
+        // Wait for every active caller to queue (or a full batch), for
+        // at most one batching window; a caller that leaves or submits
+        // wakes this wait, so the batch never outlasts its last member.
+        let deadline = Instant::now() + cfg.batch_window;
+        let release = loop {
+            if q.shutdown {
+                continue 'serve;
+            }
+            if q.jobs.len() >= q.active {
+                break "release_all_queued";
+            }
+            if q.jobs.len() >= cfg.max_batch {
+                break "release_max_batch";
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                break "release_window";
+            }
+            q = cv
+                .wait_timeout(q, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        };
         let take = q.jobs.len().min(cfg.max_batch);
         let mut batch = BatchGuard {
             jobs: q.jobs.drain(..take).collect(),
             filled: 0,
         };
         drop(q);
+        telemetry::incr("serve.engine", release, 1);
 
         // One armed chaos crash kills this whole batch: panic with the
         // queue lock released (never poisoned by an injected crash) and
@@ -1059,6 +1109,124 @@ mod tests {
             assert!(step.action < serve_layout().num_actions());
             assert!(step.logp <= 0.0 && step.logp.is_finite());
         }
+    }
+
+    const LONG_WINDOW: Duration = Duration::from_secs(5);
+
+    /// An engine whose batching window is far longer than any rollout:
+    /// if a batch ever waited the window out, the test would notice.
+    fn long_window_engine(seed: u64) -> InferenceEngine {
+        let cfg = EngineConfig {
+            batch_window: LONG_WINDOW,
+            ..EngineConfig::default()
+        };
+        InferenceEngine::start(test_policy(seed), cfg).unwrap()
+    }
+
+    fn rollout(engine: &InferenceEngine, program: &Module) -> RolloutReport {
+        let mut m = program.clone();
+        let fp = autophase_core::eval_cache::fingerprint_module(&m);
+        engine
+            .choose_sequence_report(&mut m, fp, &Quarantine::default(), &FuelBudget::default())
+            .unwrap()
+    }
+
+    #[test]
+    fn solo_rollout_never_waits_out_the_window() {
+        let engine = long_window_engine(61);
+        let program = autophase_benchmarks::suite()
+            .into_iter()
+            .find(|b| b.name == "gsm")
+            .expect("gsm present")
+            .module;
+        let start = Instant::now();
+        let report = rollout(&engine, &program);
+        let took = start.elapsed();
+        assert_eq!(report.infer_calls as usize, SERVE_EPISODE_LEN);
+        assert_eq!(report.infer_batch_max, 1);
+        // A fixed linger would cost the window once per inference.
+        assert!(
+            took < LONG_WINDOW / 2,
+            "solo rollout took {took:?}: a batch waited for a partner that never came"
+        );
+    }
+
+    #[test]
+    fn concurrent_rollouts_batch_and_finish() {
+        const THREADS: usize = 4;
+        let engine = Arc::new(long_window_engine(62));
+        let programs: Vec<Module> = autophase_benchmarks::suite()
+            .into_iter()
+            .map(|b| b.module)
+            .collect();
+        let solo: Vec<RolloutReport> = programs.iter().map(|p| rollout(&engine, p)).collect();
+        let programs = Arc::new(programs);
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        let start = Instant::now();
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (engine, programs, barrier) = (
+                    Arc::clone(&engine),
+                    Arc::clone(&programs),
+                    Arc::clone(&barrier),
+                );
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    // Each thread walks the suite from its own offset and
+                    // for its own count of programs, so threads leave the
+                    // engine at different times while others still run.
+                    (0..2 + 2 * t)
+                        .map(|k| {
+                            let i = (t * 2 + k) % programs.len();
+                            (i, rollout(&engine, &programs[i]))
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut batch_max = 0;
+        for w in workers {
+            for (i, report) in w.join().unwrap() {
+                // Same ordering, and bit-identical logits behind it.
+                assert_eq!(
+                    report.applied, solo[i].applied,
+                    "batching changed program {i}'s ordering"
+                );
+                assert_eq!(report.steps, solo[i].steps);
+                batch_max = batch_max.max(report.infer_batch_max);
+            }
+        }
+        let took = start.elapsed();
+        assert!(batch_max > 1, "concurrent rollouts never shared a batch");
+        // No batch waited the window out, neither for a rollout still
+        // applying its pass nor for one that had finished.
+        assert!(
+            took < LONG_WINDOW / 2,
+            "concurrent rollouts took {took:?}: a batch waited out the window"
+        );
+    }
+
+    #[test]
+    fn leaving_caller_releases_a_waiting_batch() {
+        let engine = Arc::new(long_window_engine(63));
+        let idle = engine.enter();
+        let start = Instant::now();
+        let worker = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.infer(vec![0.0; serve_layout().obs_dim()]))
+        };
+        // The worker's observation is queued and held for the idle
+        // caller, which leaves without submitting.
+        while lock_recover(&engine.queue.0).jobs.is_empty() {
+            std::thread::yield_now();
+        }
+        drop(idle);
+        assert!(worker.join().unwrap().is_ok());
+        let took = start.elapsed();
+        assert!(
+            took < LONG_WINDOW / 2,
+            "batch held {took:?} for a caller that had left"
+        );
     }
 
     #[test]

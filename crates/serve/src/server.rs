@@ -1032,6 +1032,7 @@ fn compile(
                     cycles: entry.cycles,
                     baseline_cycles: entry.baseline_cycles,
                     passes,
+                    policy_version: None,
                     ir: ir_out,
                 };
             }
@@ -1169,6 +1170,7 @@ fn compile(
         cycles,
         baseline_cycles,
         passes,
+        policy_version,
         ir: want_ir.then(|| print_module(&optimized)),
     }
 }

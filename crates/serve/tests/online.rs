@@ -15,6 +15,7 @@ use autophase_serve::engine::serve_layout;
 use autophase_serve::learner::LearnerConfig;
 use autophase_serve::protocol::{ErrKind, Source};
 use autophase_serve::server::{Server, ServerConfig};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -85,6 +86,9 @@ fn learner_trains_publishes_and_auto_promotes() {
             min_batch: autophase_serve::SERVE_EPISODE_LEN,
             publish_every: 1,
             auto_promote: true,
+            // Keep every published version listed, so each version a
+            // reply names below still has its line in MODEL.
+            keep_versions: usize::MAX,
             ..LearnerConfig::default()
         }),
         ..ServerConfig::default()
@@ -122,21 +126,41 @@ fn learner_trains_publishes_and_auto_promotes() {
     );
 
     // The promoted version now answers requests and its per-version
-    // counters move.
+    // counters move. The learner keeps publishing and promoting, so a
+    // later version may answer some of these compiles: each reply names
+    // the version that chose its ordering, and every version named must
+    // be attributed the requests it answered.
+    let mut answered: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, ir) in progs.iter().enumerate() {
         let fresh = renamed(ir, &format!("post{i}"));
-        client
+        let reply = client
             .compile(&fresh, Some(60_000), false)
             .expect("post-promotion compile");
+        assert_eq!(reply.source, Source::Policy);
+        let version = reply
+            .policy_version
+            .expect("a policy answer names its version");
+        assert!(
+            version >= promoted.version,
+            "v{version} answered after v{} was promoted",
+            promoted.version
+        );
+        *answered.entry(version).or_default() += 1;
     }
     let snap = client.models().expect("MODEL answers");
     let serving = snap.serving.expect("still serving a policy");
     assert!(serving > 0);
-    let line = snap.version(serving).expect("serving line present");
-    assert!(
-        line.requests > 0,
-        "promoted version must be attributed requests"
-    );
+    for (&version, &n) in &answered {
+        let line = snap
+            .version(version)
+            .unwrap_or_else(|| panic!("v{version} answered requests but is not listed"));
+        assert!(
+            line.requests >= n,
+            "promoted version must be attributed requests: v{version} answered {n}, \
+             MODEL attributes {}",
+            line.requests
+        );
+    }
     assert!(snap.swaps >= 1, "engine counted the hot-swap");
 
     // The registry survives the daemon: reopen it directly.
