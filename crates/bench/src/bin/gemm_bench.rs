@@ -33,7 +33,8 @@ use std::time::Instant;
 /// layers, 46 actions) plus the training value head.
 const SHAPES: [(usize, usize); 4] = [(56, 256), (256, 256), (256, 46), (256, 1)];
 
-/// Batch sizes the engine's batching window actually produces.
+/// Batch sizes the engine's drained batches span (1 up to its
+/// `max_batch` of 64).
 const BATCHES: [usize; 3] = [1, 8, 64];
 
 fn min_speedup_from_args() -> Option<f64> {

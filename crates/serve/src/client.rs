@@ -29,9 +29,6 @@ pub struct CompileReply {
     pub baseline_cycles: u64,
     /// The effective pass ordering.
     pub passes: Vec<usize>,
-    /// Registry version of the policy that chose the ordering (policy
-    /// answers only).
-    pub policy_version: Option<u64>,
     /// Optimized IR when requested.
     pub ir: Option<String>,
 }
@@ -217,14 +214,12 @@ impl Client {
                 cycles,
                 baseline_cycles,
                 passes,
-                policy_version,
                 ir,
             } => Ok(CompileReply {
                 source,
                 cycles,
                 baseline_cycles,
                 passes,
-                policy_version,
                 ir,
             }),
             Reply::Err {

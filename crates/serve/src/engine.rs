@@ -1,27 +1,20 @@
 //! Batched policy inference and the greedy serving rollout.
 //!
 //! One dedicated thread owns the policy network. Request workers submit
-//! observations and block on a result slot. The engine counts its
-//! *active callers* — rollouts in flight plus bare
-//! [`infer`](InferenceEngine::infer) calls, each registered on entry and
-//! released by a drop guard — and dispatches a batch as soon as every
-//! active caller has an observation queued (or
-//! [`EngineConfig::max_batch`] are queued). It lingers only
-//! while some active caller may still submit, and at most
-//! [`EngineConfig::batch_window`]: a solo rollout never waits, while
-//! concurrent rollouts gather into **one** SoA forward
-//! ([`SoaMlp::forward_batch`]) — one wake-up, one queue-lock round, and
-//! one batched GEMM per batch instead of per observation, which is where
-//! the throughput under concurrent load comes from. The SoA kernels are
-//! bit-identical to [`Mlp::forward`] (pinned by the nn crate's
-//! differential suite), so batching never changes a served decision.
-//! Batch sizes land in the `serve.batch_size` histogram, per-batch
-//! forward time in `serve.engine_ns{forward}` (kept out of the
-//! `serve.stage_ns` family, whose stages tile each request's timeline —
-//! a batch serves many requests at once, so its time is not any single
-//! request's segment), and the condition that released each batch in
-//! the `serve.engine` counters `release_all_queued`, `release_max_batch`
-//! and `release_window`.
+//! observations and block on a result slot. The engine thread never
+//! lingers: as soon as the queue is non-empty it drains everything
+//! queued (up to [`EngineConfig::max_batch`]) and runs it through
+//! **one** SoA forward ([`SoaMlp::forward_batch`]). A lone observation
+//! goes out at once; observations that queue while a batch is running
+//! go out together in the next one — one wake-up, one queue-lock round,
+//! and one batched GEMM for all of them, which is where the throughput
+//! under concurrent load comes from. The SoA kernels are bit-identical
+//! to [`Mlp::forward`] (pinned by the nn crate's differential suite),
+//! so batching never changes a served decision. Batch sizes land in the
+//! `serve.batch_size` histogram, per-batch forward time in
+//! `serve.engine_ns{forward}` (kept out of the `serve.stage_ns` family,
+//! whose stages tile each request's timeline — a batch serves many
+//! requests at once, so its time is not any single request's segment).
 //!
 //! The policy path is fault-isolated end to end: forward passes run
 //! under `catch_unwind` (a poisoned network answers with a typed
@@ -46,7 +39,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Panic payload of an injected engine crash
 /// ([`InferenceEngine::inject_crashes`]) — lets test panic hooks
@@ -137,21 +130,13 @@ impl std::error::Error for PolicyFault {}
 /// Batching knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Cap on how long the engine thread waits, after the first
-    /// observation of a batch, for the other active callers to queue
-    /// theirs. It is not a fixed linger: a batch dispatches as soon as
-    /// every active caller has queued, so a solo caller never waits.
-    pub batch_window: Duration,
     /// Hard cap on observations per batch.
     pub max_batch: usize,
 }
 
 impl Default for EngineConfig {
     fn default() -> EngineConfig {
-        EngineConfig {
-            batch_window: Duration::from_micros(100),
-            max_batch: 64,
-        }
+        EngineConfig { max_batch: 64 }
     }
 }
 
@@ -166,7 +151,7 @@ pub struct RolloutReport {
     /// Forward passes submitted to the batching queue.
     pub infer_calls: u32,
     /// Total nanoseconds this request spent blocked on inference
-    /// (enqueue → result, including batch linger).
+    /// (enqueue → result, including any wait behind a running batch).
     pub infer_wait_ns: u64,
     /// Largest engine batch any of this request's inferences was served
     /// in — 1 means every forward ran alone, larger values mean the
@@ -234,9 +219,6 @@ struct Job {
 
 struct Queue {
     jobs: Vec<Job>,
-    /// Callers that may still submit: rollouts in flight and bare
-    /// inferences, each held by a [`CallerGuard`].
-    active: usize,
     shutdown: bool,
 }
 
@@ -244,22 +226,20 @@ impl Queue {
     fn new() -> Queue {
         Queue {
             jobs: Vec::new(),
-            active: 0,
             shutdown: false,
         }
     }
-}
 
-/// One registered caller of the engine. Dropping it — on return, early
-/// return or unwind — deregisters the caller and wakes the engine
-/// thread, which may be holding a batch for this caller's observation.
-struct CallerGuard<'a>(&'a (Mutex<Queue>, Condvar));
-
-impl Drop for CallerGuard<'_> {
-    fn drop(&mut self) {
-        let (lock, cv) = self.0;
-        lock_recover(lock).active -= 1;
-        cv.notify_all();
+    /// Queue one observation; its answer arrives in the returned slot
+    /// (see [`wait_for`]).
+    fn push(&mut self, obs: Vec<f64>, route: Route) -> Slot {
+        let slot: Slot = Arc::new((Mutex::new(None), Condvar::new()));
+        self.jobs.push(Job {
+            obs,
+            route,
+            slot: Arc::clone(&slot),
+        });
+        slot
     }
 }
 
@@ -550,41 +530,24 @@ impl InferenceEngine {
     ///
     /// Same contract as [`infer`](InferenceEngine::infer).
     pub fn infer_sized(&self, obs: Vec<f64>) -> Result<Inference, PolicyFault> {
-        let _caller = self.enter();
         self.infer_routed(obs, Route::A)
-    }
-
-    /// Register a caller that may submit observations until the guard
-    /// drops (see [`CallerGuard`]).
-    fn enter(&self) -> CallerGuard<'_> {
-        lock_recover(&self.queue.0).active += 1;
-        CallerGuard(&self.queue)
     }
 
     fn infer_routed(&self, obs: Vec<f64>, route: Route) -> Result<Inference, PolicyFault> {
         if self.disabled {
             return Err(PolicyFault::Inference);
         }
-        let slot: Slot = Arc::new((Mutex::new(None), Condvar::new()));
-        {
+        let slot = {
             let (lock, cv) = &*self.queue;
             let mut q = lock_recover(lock);
             if q.shutdown {
                 return Err(PolicyFault::Shutdown);
             }
-            q.jobs.push(Job {
-                obs,
-                route,
-                slot: Arc::clone(&slot),
-            });
+            let slot = q.push(obs, route);
             cv.notify_all();
-        }
-        let (lock, cv) = &*slot;
-        let mut state = lock_recover(lock);
-        while state.is_none() {
-            state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.take().expect("slot filled")
+            slot
+        };
+        wait_for(&slot)
     }
 
     /// Greedy policy rollout on `m` in place: `episode_len` steps of
@@ -621,7 +584,6 @@ impl InferenceEngine {
         quarantine: &Quarantine,
         fuel: &FuelBudget,
     ) -> Result<RolloutReport, PolicyFault> {
-        let _caller = self.enter();
         let layout = serve_layout();
         let route = self.route_for(fp);
         let mut histogram = vec![0.0f64; layout.num_actions()];
@@ -703,6 +665,16 @@ impl Drop for InferenceEngine {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Block until the engine answers `slot`.
+fn wait_for(slot: &Slot) -> Result<Inference, PolicyFault> {
+    let (lock, cv) = &**slot;
+    let mut state = lock_recover(lock);
+    while state.is_none() {
+        state = cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+    }
+    state.take().expect("slot filled")
 }
 
 fn fill(slot: &Slot, result: Result<Inference, PolicyFault>) {
@@ -790,7 +762,7 @@ fn engine_loop(
     let mut wsb = BatchWorkspace::new();
     let (lock, cv) = &**queue;
     let mut q = lock_recover(lock);
-    'serve: loop {
+    loop {
         while q.jobs.is_empty() && !q.shutdown {
             q = cv.wait(q).unwrap_or_else(PoisonError::into_inner);
         }
@@ -800,36 +772,14 @@ fn engine_loop(
             }
             return;
         }
-        // Wait for every active caller to queue (or a full batch), for
-        // at most one batching window; a caller that leaves or submits
-        // wakes this wait, so the batch never outlasts its last member.
-        let deadline = Instant::now() + cfg.batch_window;
-        let release = loop {
-            if q.shutdown {
-                continue 'serve;
-            }
-            if q.jobs.len() >= q.active {
-                break "release_all_queued";
-            }
-            if q.jobs.len() >= cfg.max_batch {
-                break "release_max_batch";
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break "release_window";
-            }
-            q = cv
-                .wait_timeout(q, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        };
+        // Drain at once: whatever queued while the last batch ran goes
+        // out together, and a lone observation never waits for company.
         let take = q.jobs.len().min(cfg.max_batch);
         let mut batch = BatchGuard {
             jobs: q.jobs.drain(..take).collect(),
             filled: 0,
         };
         drop(q);
-        telemetry::incr("serve.engine", release, 1);
 
         // One armed chaos crash kills this whole batch: panic with the
         // queue lock released (never poisoned by an injected crash) and
@@ -1031,7 +981,7 @@ mod tests {
         for i in 0..20 {
             let policy = if i % 2 == 0 { new.clone() } else { old.clone() };
             engine.swap_policy(policy, i + 1).unwrap();
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
         stop.store(true, Ordering::Relaxed);
         let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
@@ -1111,16 +1061,34 @@ mod tests {
         }
     }
 
-    const LONG_WINDOW: Duration = Duration::from_secs(5);
-
-    /// An engine whose batching window is far longer than any rollout:
-    /// if a batch ever waited the window out, the test would notice.
-    fn long_window_engine(seed: u64) -> InferenceEngine {
-        let cfg = EngineConfig {
-            batch_window: LONG_WINDOW,
-            ..EngineConfig::default()
+    #[test]
+    fn queued_observations_dispatch_together_up_to_max_batch() {
+        let policy = test_policy(61);
+        let engine = InferenceEngine::start(policy.clone(), EngineConfig { max_batch: 4 }).unwrap();
+        let obs: Vec<Vec<f64>> = (0..6)
+            .map(|i| {
+                (0..serve_layout().obs_dim())
+                    .map(|j| ((i * 7 + j) % 11) as f64 / 11.0)
+                    .collect()
+            })
+            .collect();
+        // Queue all six in one critical section: the engine thread finds
+        // them together, drains max_batch of them into one forward, and
+        // the remaining two into the next.
+        let slots: Vec<Slot> = {
+            let (lock, cv) = &*engine.queue;
+            let mut q = lock_recover(lock);
+            let slots = obs.iter().map(|o| q.push(o.clone(), Route::A)).collect();
+            cv.notify_all();
+            slots
         };
-        InferenceEngine::start(test_policy(seed), cfg).unwrap()
+        let mut sizes = Vec::new();
+        for (o, slot) in obs.iter().zip(&slots) {
+            let (logits, batch, _) = wait_for(slot).unwrap();
+            assert_eq!(logits, policy.forward(o), "batching changed the logits");
+            sizes.push(batch);
+        }
+        assert_eq!(sizes, [4, 4, 4, 4, 2, 2]);
     }
 
     fn rollout(engine: &InferenceEngine, program: &Module) -> RolloutReport {
@@ -1132,37 +1100,21 @@ mod tests {
     }
 
     #[test]
-    fn solo_rollout_never_waits_out_the_window() {
-        let engine = long_window_engine(61);
-        let program = autophase_benchmarks::suite()
-            .into_iter()
-            .find(|b| b.name == "gsm")
-            .expect("gsm present")
-            .module;
-        let start = Instant::now();
-        let report = rollout(&engine, &program);
-        let took = start.elapsed();
-        assert_eq!(report.infer_calls as usize, SERVE_EPISODE_LEN);
-        assert_eq!(report.infer_batch_max, 1);
-        // A fixed linger would cost the window once per inference.
-        assert!(
-            took < LONG_WINDOW / 2,
-            "solo rollout took {took:?}: a batch waited for a partner that never came"
-        );
-    }
-
-    #[test]
-    fn concurrent_rollouts_batch_and_finish() {
+    fn concurrent_rollouts_match_solo_rollouts() {
         const THREADS: usize = 4;
-        let engine = Arc::new(long_window_engine(62));
+        let engine =
+            Arc::new(InferenceEngine::start(test_policy(62), EngineConfig::default()).unwrap());
         let programs: Vec<Module> = autophase_benchmarks::suite()
             .into_iter()
             .map(|b| b.module)
             .collect();
         let solo: Vec<RolloutReport> = programs.iter().map(|p| rollout(&engine, p)).collect();
+        for report in &solo {
+            assert_eq!(report.infer_calls as usize, SERVE_EPISODE_LEN);
+            assert_eq!(report.infer_batch_max, 1, "a lone rollout is served alone");
+        }
         let programs = Arc::new(programs);
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
-        let start = Instant::now();
         let workers: Vec<_> = (0..THREADS)
             .map(|t| {
                 let (engine, programs, barrier) = (
@@ -1184,49 +1136,17 @@ mod tests {
                 })
             })
             .collect();
-        let mut batch_max = 0;
         for w in workers {
             for (i, report) in w.join().unwrap() {
-                // Same ordering, and bit-identical logits behind it.
+                // Same ordering, and bit-identical logits behind it,
+                // whatever batches the rollout's forwards landed in.
                 assert_eq!(
                     report.applied, solo[i].applied,
                     "batching changed program {i}'s ordering"
                 );
                 assert_eq!(report.steps, solo[i].steps);
-                batch_max = batch_max.max(report.infer_batch_max);
             }
         }
-        let took = start.elapsed();
-        assert!(batch_max > 1, "concurrent rollouts never shared a batch");
-        // No batch waited the window out, neither for a rollout still
-        // applying its pass nor for one that had finished.
-        assert!(
-            took < LONG_WINDOW / 2,
-            "concurrent rollouts took {took:?}: a batch waited out the window"
-        );
-    }
-
-    #[test]
-    fn leaving_caller_releases_a_waiting_batch() {
-        let engine = Arc::new(long_window_engine(63));
-        let idle = engine.enter();
-        let start = Instant::now();
-        let worker = {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || engine.infer(vec![0.0; serve_layout().obs_dim()]))
-        };
-        // The worker's observation is queued and held for the idle
-        // caller, which leaves without submitting.
-        while lock_recover(&engine.queue.0).jobs.is_empty() {
-            std::thread::yield_now();
-        }
-        drop(idle);
-        assert!(worker.join().unwrap().is_ok());
-        let took = start.elapsed();
-        assert!(
-            took < LONG_WINDOW / 2,
-            "batch held {took:?} for a caller that had left"
-        );
     }
 
     #[test]

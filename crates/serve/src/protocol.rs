@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! -> AUTOPHASE/1 COMPILE ir_len=482 deadline_ms=250 want_ir=1\n<482 bytes of IR>
-//! <- AUTOPHASE/1 OK source=policy cycles=913 baseline_cycles=1310 passes=31,38,30 policy_version=2 ir_len=390\n<390 bytes>
+//! <- AUTOPHASE/1 OK source=policy cycles=913 baseline_cycles=1310 passes=31,38,30 ir_len=390\n<390 bytes>
 //! <- AUTOPHASE/1 ERR kind=overloaded msg=queue full\n
 //! ```
 //!
@@ -16,9 +16,7 @@
 //! and accepted by `autophase_ir::parser` — the printer/parser round-trip
 //! is lossless, so a module survives the wire bit-identically. `passes`
 //! is the effective ordering (Table-1 ids of the passes that changed the
-//! module), `-` when empty. `policy_version` names the policy that chose
-//! the ordering; only `source=policy` answers carry it. `msg` is free
-//! text and always the last key.
+//! module), `-` when empty. `msg` is free text and always the last key.
 
 use std::io::{self, BufRead, Write};
 
@@ -165,9 +163,6 @@ pub enum Reply {
         baseline_cycles: u64,
         /// The effective pass ordering (changing passes, Table-1 ids).
         passes: Vec<usize>,
-        /// Registry version of the policy that chose the ordering;
-        /// `None` unless `source` is [`Source::Policy`].
-        policy_version: Option<u64>,
         /// Optimized IR when the request asked for it.
         ir: Option<String>,
     },
@@ -410,7 +405,6 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
             cycles,
             baseline_cycles,
             passes,
-            policy_version,
             ir,
         } => {
             let pass_list = if passes.is_empty() {
@@ -423,10 +417,9 @@ pub fn write_reply<W: Write>(w: &mut W, reply: &Reply) -> io::Result<()> {
                     .join(",")
             };
             let body = ir.as_deref().unwrap_or("");
-            let version = policy_version.map_or(String::new(), |v| format!(" policy_version={v}"));
             let line = format!(
                 "{PROTOCOL} OK source={} cycles={cycles} baseline_cycles={baseline_cycles} \
-                 passes={pass_list}{version} ir_len={}\n",
+                 passes={pass_list} ir_len={}\n",
                 source.as_str(),
                 body.len()
             );
@@ -502,7 +495,6 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
                         })
                         .collect::<Result<Vec<usize>, _>>()?
                 };
-                let policy_version = get_u64(&kvs, "policy_version")?;
                 let ir_len = get_u64(&kvs, "ir_len")?.unwrap_or(0) as usize;
                 if ir_len > MAX_IR_LEN {
                     return Err(ProtocolError(format!("reply ir_len {ir_len} over cap")).into());
@@ -517,7 +509,6 @@ pub fn read_reply<R: BufRead>(r: &mut R) -> io::Result<Reply> {
                     cycles,
                     baseline_cycles,
                     passes,
-                    policy_version,
                     ir,
                 })
             } else if let Some(len) = get_u64(&kvs, "stats_len")? {
@@ -638,7 +629,6 @@ mod tests {
                 cycles: 913,
                 baseline_cycles: 1310,
                 passes: vec![31, 38, 30],
-                policy_version: Some(2),
                 ir: Some("define i32 @main() {\n}\n".into()),
             },
             Reply::Compiled {
@@ -646,7 +636,6 @@ mod tests {
                 cycles: 1,
                 baseline_cycles: 1,
                 passes: vec![],
-                policy_version: None,
                 ir: None,
             },
             Reply::Ack,

@@ -1032,7 +1032,6 @@ fn compile(
                     cycles: entry.cycles,
                     baseline_cycles: entry.baseline_cycles,
                     passes,
-                    policy_version: None,
                     ir: ir_out,
                 };
             }
@@ -1170,7 +1169,6 @@ fn compile(
         cycles,
         baseline_cycles,
         passes,
-        policy_version,
         ir: want_ir.then(|| print_module(&optimized)),
     }
 }

@@ -69,6 +69,28 @@ fn connect(addr: std::net::SocketAddr) -> Client {
     client
 }
 
+/// The policy version that answered each of the last `n` compiles, read
+/// from the `policy_version` notes of their traces (`TRACE` returns the
+/// newest first).
+fn answered_versions(client: &mut Client, n: usize) -> Vec<u64> {
+    const KEY: &str = "[\"policy_version\",\"";
+    let body = client.traces(n).expect("TRACE answers");
+    let versions: Vec<u64> = body
+        .lines()
+        .map(|line| {
+            let at = line
+                .find(KEY)
+                .unwrap_or_else(|| panic!("trace without a policy_version note: {line}"));
+            let rest = &line[at + KEY.len()..];
+            rest[..rest.find('"').expect("closing quote")]
+                .parse()
+                .expect("numeric policy_version")
+        })
+        .collect();
+    assert_eq!(versions.len(), n, "expected {n} traces:\n{body}");
+    versions
+}
+
 /// The tentpole loop closed end-to-end: cold compiles stream experience
 /// to the in-daemon learner, which trains, publishes versions into the
 /// registry, and auto-promotes them into the live engine — all while
@@ -86,9 +108,6 @@ fn learner_trains_publishes_and_auto_promotes() {
             min_batch: autophase_serve::SERVE_EPISODE_LEN,
             publish_every: 1,
             auto_promote: true,
-            // Keep every published version listed, so each version a
-            // reply names below still has its line in MODEL.
-            keep_versions: usize::MAX,
             ..LearnerConfig::default()
         }),
         ..ServerConfig::default()
@@ -127,19 +146,18 @@ fn learner_trains_publishes_and_auto_promotes() {
 
     // The promoted version now answers requests and its per-version
     // counters move. The learner keeps publishing and promoting, so a
-    // later version may answer some of these compiles: each reply names
-    // the version that chose its ordering, and every version named must
-    // be attributed the requests it answered.
-    let mut answered: BTreeMap<u64, u64> = BTreeMap::new();
+    // later version may answer some of these compiles: each compile's
+    // trace names the version that chose its ordering, and every
+    // version named must be attributed the requests it answered.
     for (i, ir) in progs.iter().enumerate() {
         let fresh = renamed(ir, &format!("post{i}"));
         let reply = client
             .compile(&fresh, Some(60_000), false)
             .expect("post-promotion compile");
         assert_eq!(reply.source, Source::Policy);
-        let version = reply
-            .policy_version
-            .expect("a policy answer names its version");
+    }
+    let mut answered: BTreeMap<u64, u64> = BTreeMap::new();
+    for version in answered_versions(&mut client, progs.len()) {
         assert!(
             version >= promoted.version,
             "v{version} answered after v{} was promoted",
@@ -150,10 +168,18 @@ fn learner_trains_publishes_and_auto_promotes() {
     let snap = client.models().expect("MODEL answers");
     let serving = snap.serving.expect("still serving a policy");
     assert!(serving > 0);
+    // Retention prunes old versions as the learner keeps publishing, but
+    // the newest one that answered was serving moments ago: it is still
+    // among the versions kept.
+    let (&newest, _) = answered.last_key_value().expect("compiles answered");
+    assert!(
+        snap.version(newest).is_some(),
+        "v{newest}, the newest version that answered, is not listed"
+    );
     for (&version, &n) in &answered {
-        let line = snap
-            .version(version)
-            .unwrap_or_else(|| panic!("v{version} answered requests but is not listed"));
+        let Some(line) = snap.version(version) else {
+            continue;
+        };
         assert!(
             line.requests >= n,
             "promoted version must be attributed requests: v{version} answered {n}, \

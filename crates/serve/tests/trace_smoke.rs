@@ -129,21 +129,6 @@ fn stats_traces_and_chaos_dump_on_a_live_daemon() {
         drift * 100.0
     );
 
-    // Engine dispatch: every batch counts the condition that released
-    // it, and a solo client's batches never wait out the window — its
-    // one rollout is every active caller.
-    let batches = stats
-        .hist("serve.batch_size", "")
-        .expect("batch size histogram")
-        .count;
-    let release = |why| stats.counter("serve.engine", why);
-    assert!(batches > 0);
-    assert_eq!(
-        release("release_all_queued") + release("release_max_batch") + release("release_window"),
-        batches
-    );
-    assert_eq!(release("release_window"), 0, "a solo rollout lingered");
-
     // TRACE: recent traces come back as parseable JSONL, newest first,
     // with outcomes and tiling stage segments.
     let body = client.traces(16).expect("traces");
