@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test core-tests serve-unit clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
+.PHONY: ci build test core-tests passes-tests serve-unit clippy fmt fmt-fix bench telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix
 
-ci: build test core-tests serve-unit telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
+ci: build test core-tests passes-tests serve-unit telemetry chaos perf-smoke serve-smoke trace-smoke corpus-smoke durability-smoke online-smoke simd-matrix clippy fmt
 
 build:
 	$(CARGO) build --release
@@ -18,6 +18,12 @@ test:
 # mode: the experiment-runner unit tests train real agents.
 core-tests:
 	$(CARGO) test -q --release -p autophase-core
+
+# The IR and pass crates' own suites: the ir unit and property tests
+# (random-CFG dominator laws among them), every pass's unit tests,
+# `pass_matrix`, `verifier_coverage` and the telemetry overhead guard.
+passes-tests:
+	$(CARGO) test -q --release -p autophase-ir -p autophase-passes
 
 # The serve crate's own suites: the engine, store, protocol and server
 # unit tests (the engine's dispatch rule among them), and the rollout

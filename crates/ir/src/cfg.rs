@@ -1,38 +1,51 @@
 //! Control-flow-graph queries: predecessors, successors, orderings.
 
 use crate::function::{BlockId, Function};
-use std::collections::HashMap;
+
+/// Sentinel RPO position of a block not reachable from the entry.
+const UNREACHED: u32 = u32::MAX;
 
 /// Immutable CFG snapshot of a function.
 ///
-/// Built once per analysis/transform; cheap at this IR's scale. Holds
-/// predecessor and successor lists plus a reverse post-order.
+/// Built once per analysis/transform. Holds predecessor and successor
+/// lists and each block's reverse post-order position, all in `Vec`s
+/// indexed by [`BlockId::index`], plus the reverse post-order itself.
 #[derive(Debug, Clone)]
 pub struct Cfg {
-    preds: HashMap<BlockId, Vec<BlockId>>,
-    succs: HashMap<BlockId, Vec<BlockId>>,
+    preds: Vec<Vec<BlockId>>,
+    succs: Vec<Vec<BlockId>>,
     rpo: Vec<BlockId>,
+    rpo_pos: Vec<u32>,
     entry: BlockId,
 }
 
 impl Cfg {
     /// Compute the CFG of `f`.
     pub fn new(f: &Function) -> Cfg {
-        let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        let mut succs: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+        let cap = f.block_capacity();
+        let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); cap];
+        let mut succs: Vec<Vec<BlockId>> = vec![Vec::new(); cap];
         for bb in f.block_ids() {
             let s = f.successors(bb);
             for &t in &s {
-                preds.entry(t).or_default().push(bb);
+                // A branch past the block arena names no block at all;
+                // the verifier rejects it, and nothing can query it.
+                if let Some(p) = preds.get_mut(t.index()) {
+                    p.push(bb);
+                }
             }
-            succs.insert(bb, s);
-            preds.entry(bb).or_default();
+            succs[bb.index()] = s;
         }
-        let rpo = reverse_post_order(f);
+        let rpo = reverse_post_order(f, &succs);
+        let mut rpo_pos = vec![UNREACHED; cap];
+        for (i, bb) in rpo.iter().enumerate() {
+            rpo_pos[bb.index()] = i as u32;
+        }
         Cfg {
             preds,
             succs,
             rpo,
+            rpo_pos,
             entry: f.entry,
         }
     }
@@ -40,12 +53,12 @@ impl Cfg {
     /// Predecessors of `bb` (blocks with an edge into it). A block that
     /// branches to `bb` twice (both arms of a cond-br) appears twice.
     pub fn preds(&self, bb: BlockId) -> &[BlockId] {
-        self.preds.get(&bb).map(Vec::as_slice).unwrap_or(&[])
+        self.preds.get(bb.index()).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Successors of `bb`.
     pub fn succs(&self, bb: BlockId) -> &[BlockId] {
-        self.succs.get(&bb).map(Vec::as_slice).unwrap_or(&[])
+        self.succs.get(bb.index()).map(Vec::as_slice).unwrap_or(&[])
     }
 
     /// Unique predecessors (deduplicated).
@@ -69,32 +82,45 @@ impl Cfg {
         &self.rpo
     }
 
+    /// Position of `bb` in [`Cfg::rpo`], if it is reachable.
+    pub fn rpo_index(&self, bb: BlockId) -> Option<usize> {
+        match self.rpo_pos.get(bb.index()) {
+            Some(&i) if i != UNREACHED => Some(i as usize),
+            _ => None,
+        }
+    }
+
     /// The function entry block.
     pub fn entry(&self) -> BlockId {
         self.entry
     }
 
+    /// Upper bound (exclusive) of the block indices this CFG covers.
+    pub fn block_capacity(&self) -> usize {
+        self.succs.len()
+    }
+
     /// True if `bb` is reachable from the entry block.
     pub fn is_reachable(&self, bb: BlockId) -> bool {
-        self.rpo.contains(&bb)
+        self.rpo_index(bb).is_some()
     }
 
     /// Total number of CFG edges (counting duplicates).
     pub fn num_edges(&self) -> usize {
-        self.succs.values().map(Vec::len).sum()
+        self.succs.iter().map(Vec::len).sum()
     }
 
     /// Edges `(src, dst)` that are critical: the source has more than one
     /// successor and the destination has more than one predecessor.
     pub fn critical_edges(&self) -> Vec<(BlockId, BlockId)> {
         let mut out = Vec::new();
-        for (&src, succs) in &self.succs {
+        for (src, succs) in self.succs.iter().enumerate() {
             if succs.len() <= 1 {
                 continue;
             }
             for &dst in succs {
                 if self.preds(dst).len() > 1 {
-                    out.push((src, dst));
+                    out.push((BlockId::from_index(src), dst));
                 }
             }
         }
@@ -104,9 +130,10 @@ impl Cfg {
     }
 }
 
-/// Reachable blocks in reverse post-order (entry first).
-pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
-    let mut visited = vec![false; f.block_capacity()];
+/// Reachable blocks in reverse post-order (entry first), walking the
+/// successor lists `Cfg::new` already collected.
+fn reverse_post_order(f: &Function, succs: &[Vec<BlockId>]) -> Vec<BlockId> {
+    let mut visited = vec![false; succs.len()];
     let mut post = Vec::new();
     // Iterative DFS with an explicit stack of (block, next-successor-index).
     let mut stack: Vec<(BlockId, usize)> = Vec::new();
@@ -116,9 +143,7 @@ pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
     visited[f.entry.index()] = true;
     stack.push((f.entry, 0));
     while let Some(&mut (bb, ref mut idx)) = stack.last_mut() {
-        let succs = f.successors(bb);
-        if *idx < succs.len() {
-            let next = succs[*idx];
+        if let Some(&next) = succs[bb.index()].get(*idx) {
             *idx += 1;
             if f.block_exists(next) && !visited[next.index()] {
                 visited[next.index()] = true;
@@ -135,12 +160,8 @@ pub fn reverse_post_order(f: &Function) -> Vec<BlockId> {
 
 /// Blocks not reachable from entry.
 pub fn unreachable_blocks(f: &Function) -> Vec<BlockId> {
-    let reach = reverse_post_order(f);
-    let mut reachable = vec![false; f.block_capacity()];
-    for bb in &reach {
-        reachable[bb.index()] = true;
-    }
-    f.block_ids().filter(|bb| !reachable[bb.index()]).collect()
+    let cfg = Cfg::new(f);
+    f.block_ids().filter(|&bb| !cfg.is_reachable(bb)).collect()
 }
 
 #[cfg(test)]

@@ -2,29 +2,33 @@
 
 use crate::cfg::Cfg;
 use crate::function::{BlockId, Function};
-use std::collections::HashMap;
 
 /// Dominator tree over the reachable blocks of a function.
+///
+/// Every per-block table is a `Vec` indexed by [`BlockId::index`].
 #[derive(Debug, Clone)]
 pub struct DomTree {
     /// Immediate dominator of each reachable block (entry maps to itself).
-    idom: HashMap<BlockId, BlockId>,
+    idom: Vec<Option<BlockId>>,
+    /// Dominator-tree children of each block, sorted by id.
+    children: Vec<Vec<BlockId>>,
     /// RPO index of each reachable block.
-    rpo_index: HashMap<BlockId, usize>,
+    rpo_index: Vec<Option<usize>>,
     entry: BlockId,
 }
 
 impl DomTree {
     /// Compute dominators for `f` given its CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
-        let rpo = cfg.rpo().to_vec();
-        let mut rpo_index = HashMap::new();
-        for (i, &bb) in rpo.iter().enumerate() {
-            rpo_index.insert(bb, i);
-        }
         let entry = f.entry;
-        let mut idom: HashMap<BlockId, BlockId> = HashMap::new();
-        idom.insert(entry, entry);
+        let cap = cfg.block_capacity().max(entry.index() + 1);
+        let rpo = cfg.rpo();
+        let mut rpo_index = vec![None; cap];
+        for (i, &bb) in rpo.iter().enumerate() {
+            rpo_index[bb.index()] = Some(i);
+        }
+        let mut idom: Vec<Option<BlockId>> = vec![None; cap];
+        idom[entry.index()] = Some(entry);
 
         let mut changed = true;
         while changed {
@@ -33,10 +37,10 @@ impl DomTree {
                 // First processed predecessor.
                 let mut new_idom: Option<BlockId> = None;
                 for &p in cfg.preds(bb) {
-                    if !rpo_index.contains_key(&p) {
+                    if rpo_index[p.index()].is_none() {
                         continue; // unreachable predecessor
                     }
-                    if idom.contains_key(&p) {
+                    if idom[p.index()].is_some() {
                         new_idom = Some(match new_idom {
                             None => p,
                             Some(cur) => intersect(&idom, &rpo_index, cur, p),
@@ -44,16 +48,28 @@ impl DomTree {
                     }
                 }
                 if let Some(ni) = new_idom {
-                    if idom.get(&bb) != Some(&ni) {
-                        idom.insert(bb, ni);
+                    if idom[bb.index()] != Some(ni) {
+                        idom[bb.index()] = Some(ni);
                         changed = true;
                     }
                 }
             }
         }
 
+        // Ascending index order, so each child list comes out sorted.
+        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); cap];
+        for (b, d) in idom.iter().enumerate() {
+            if let Some(d) = *d {
+                let b = BlockId::from_index(b);
+                if b != entry {
+                    children[d.index()].push(b);
+                }
+            }
+        }
+
         DomTree {
             idom,
+            children,
             rpo_index,
             entry,
         }
@@ -65,14 +81,14 @@ impl DomTree {
         if bb == self.entry {
             return None;
         }
-        self.idom.get(&bb).copied()
+        self.idom.get(bb.index()).copied().flatten()
     }
 
     /// True if `a` dominates `b` (reflexive: every block dominates itself).
     ///
     /// Unreachable blocks dominate nothing and are dominated by nothing.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if !self.idom.contains_key(&a) || !self.idom.contains_key(&b) {
+        if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
         let mut cur = b;
@@ -83,7 +99,7 @@ impl DomTree {
             if cur == self.entry {
                 return false;
             }
-            cur = self.idom[&cur];
+            cur = self.idom[cur.index()].expect("reachable block has an idom");
         }
     }
 
@@ -94,24 +110,21 @@ impl DomTree {
 
     /// True if the block is reachable (has a dominator entry).
     pub fn is_reachable(&self, bb: BlockId) -> bool {
-        self.idom.contains_key(&bb)
+        matches!(self.idom.get(bb.index()), Some(Some(_)))
     }
 
-    /// Children of `bb` in the dominator tree.
-    pub fn children(&self, bb: BlockId) -> Vec<BlockId> {
-        let mut out: Vec<BlockId> = self
-            .idom
-            .iter()
-            .filter(|&(&b, &d)| d == bb && b != self.entry)
-            .map(|(&b, _)| b)
-            .collect();
-        out.sort();
-        out
+    /// Children of `bb` in the dominator tree, sorted by id.
+    pub fn children(&self, bb: BlockId) -> &[BlockId] {
+        self.children
+            .get(bb.index())
+            .map(Vec::as_slice)
+            .unwrap_or(&[])
     }
 
-    /// Dominance frontier of every reachable block (for SSA construction).
-    pub fn dominance_frontiers(&self, cfg: &Cfg) -> HashMap<BlockId, Vec<BlockId>> {
-        let mut df: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    /// Dominance frontier of every reachable block (for SSA construction),
+    /// indexed by [`BlockId::index`].
+    pub fn dominance_frontiers(&self, cfg: &Cfg) -> Vec<Vec<BlockId>> {
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); self.idom.len()];
         for &bb in cfg.rpo() {
             let preds: Vec<BlockId> = cfg
                 .preds(bb)
@@ -122,18 +135,18 @@ impl DomTree {
             if preds.len() < 2 {
                 continue;
             }
-            let idom_bb = self.idom[&bb];
+            let idom_bb = self.idom[bb.index()].expect("reachable block has an idom");
             for p in preds {
                 let mut runner = p;
                 while runner != idom_bb {
-                    let entry = df.entry(runner).or_default();
+                    let entry = &mut df[runner.index()];
                     if !entry.contains(&bb) {
                         entry.push(bb);
                     }
                     if runner == self.entry {
                         break;
                     }
-                    runner = self.idom[&runner];
+                    runner = self.idom[runner.index()].expect("reachable block has an idom");
                 }
             }
         }
@@ -142,22 +155,24 @@ impl DomTree {
 
     /// RPO index of a reachable block.
     pub fn rpo_index(&self, bb: BlockId) -> Option<usize> {
-        self.rpo_index.get(&bb).copied()
+        self.rpo_index.get(bb.index()).copied().flatten()
     }
 }
 
 fn intersect(
-    idom: &HashMap<BlockId, BlockId>,
-    rpo_index: &HashMap<BlockId, usize>,
+    idom: &[Option<BlockId>],
+    rpo_index: &[Option<usize>],
     mut a: BlockId,
     mut b: BlockId,
 ) -> BlockId {
+    let pos = |x: BlockId| rpo_index[x.index()].expect("reachable block has an RPO index");
+    let up = |x: BlockId| idom[x.index()].expect("processed block has an idom");
     while a != b {
-        while rpo_index[&a] > rpo_index[&b] {
-            a = idom[&a];
+        while pos(a) > pos(b) {
+            a = up(a);
         }
-        while rpo_index[&b] > rpo_index[&a] {
-            b = idom[&b];
+        while pos(b) > pos(a) {
+            b = up(b);
         }
     }
     a
@@ -209,9 +224,9 @@ mod tests {
         let cfg = Cfg::new(&f);
         let dt = DomTree::new(&f, &cfg);
         let df = dt.dominance_frontiers(&cfg);
-        assert_eq!(df.get(&a), Some(&vec![j]));
-        assert_eq!(df.get(&b), Some(&vec![j]));
-        assert_eq!(df.get(&f.entry), None);
+        assert_eq!(df[a.index()], vec![j]);
+        assert_eq!(df[b.index()], vec![j]);
+        assert!(df[f.entry.index()].is_empty());
     }
 
     #[test]

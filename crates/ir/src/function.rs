@@ -262,6 +262,14 @@ impl Function {
         n
     }
 
+    /// Visit every operand of every live instruction mutably, in arena
+    /// order (a batched form of [`Function::replace_all_uses`]).
+    pub fn for_each_operand_mut(&mut self, mut f: impl FnMut(&mut Value)) {
+        for inst in self.insts.iter_mut().flatten() {
+            inst.for_each_operand_mut(&mut f);
+        }
+    }
+
     /// Count the uses of a value across all live instructions.
     pub fn count_uses(&self, value: Value) -> usize {
         let mut n = 0;

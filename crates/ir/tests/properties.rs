@@ -177,3 +177,134 @@ mod structural {
         }
     }
 }
+
+mod cfg_shape {
+    use autophase_ir::cfg::Cfg;
+    use autophase_ir::dom::DomTree;
+    use autophase_ir::{BlockId, Function, Inst, Opcode, Type, Value};
+    use proptest::prelude::*;
+
+    /// A random CFG of `n` blocks: each block ends in a `ret`, `br`,
+    /// `condbr` (possibly with both arms equal) or `switch` to random
+    /// targets. Blocks picked as "dead" are never targeted and are then
+    /// removed, leaving holes in the block arena; other blocks may still
+    /// be unreachable.
+    fn random_cfg(seed: u64, n: usize) -> (Function, Vec<BlockId>) {
+        let mut s = seed | 1;
+        let mut next = move |bound: usize| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s % bound as u64) as usize
+        };
+        let mut f = Function::new("cfg", vec![Type::I1, Type::I32], Type::Void);
+        let blocks: Vec<BlockId> = (0..n)
+            .map(|i| if i == 0 { f.entry } else { f.add_block() })
+            .collect();
+        let dead: Vec<BlockId> = blocks[1..]
+            .iter()
+            .copied()
+            .filter(|_| next(5) == 0)
+            .collect();
+        let live: Vec<BlockId> = blocks
+            .iter()
+            .copied()
+            .filter(|b| !dead.contains(b))
+            .collect();
+        for &bb in &blocks {
+            let shape = next(6);
+            let mut pick = || live[next(live.len())];
+            let op = match shape {
+                0 => Opcode::Ret { value: None },
+                1 | 2 => Opcode::Br { target: pick() },
+                3 | 4 => Opcode::CondBr {
+                    cond: Value::Arg(0),
+                    then_bb: pick(),
+                    else_bb: pick(),
+                },
+                _ => Opcode::Switch {
+                    value: Value::Arg(1),
+                    default: pick(),
+                    cases: vec![(1, pick()), (2, pick())],
+                },
+            };
+            f.append_inst(bb, Inst::new(Type::Void, op));
+        }
+        for &bb in &dead {
+            f.remove_block(bb);
+        }
+        (f, dead)
+    }
+
+    /// Reference reachability: blocks reachable from the entry without
+    /// passing through `avoid`.
+    fn reachable_avoiding(
+        cfg: &Cfg,
+        entry: BlockId,
+        avoid: Option<BlockId>,
+        cap: usize,
+    ) -> Vec<bool> {
+        let mut seen = vec![false; cap];
+        if Some(entry) == avoid {
+            return seen;
+        }
+        let mut stack = vec![entry];
+        seen[entry.index()] = true;
+        while let Some(bb) = stack.pop() {
+            for &s in cfg.succs(bb) {
+                if Some(s) != avoid && !seen[s.index()] {
+                    seen[s.index()] = true;
+                    stack.push(s);
+                }
+            }
+        }
+        seen
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Dominator children are exactly the sorted set of blocks whose
+        /// immediate dominator is the parent; `Cfg::is_reachable` agrees
+        /// with RPO membership; removed and out-of-range blocks have no
+        /// edges; and `dominates` agrees with the definition (every path
+        /// from the entry to `b` passes through `a`).
+        #[test]
+        fn dense_cfg_and_dom_tree_laws(seed in any::<u64>(), n in 1usize..24) {
+            let (f, dead) = random_cfg(seed, n);
+            let cfg = Cfg::new(&f);
+            let dt = DomTree::new(&f, &cfg);
+            let cap = f.block_capacity();
+            let all: Vec<BlockId> = (0..cap + 3).map(BlockId::from_index).collect();
+
+            for &bb in &all {
+                let expect: Vec<BlockId> = all
+                    .iter()
+                    .copied()
+                    .filter(|&b| b != f.entry && dt.idom(b) == Some(bb))
+                    .collect();
+                prop_assert_eq!(dt.children(bb), expect.as_slice());
+                prop_assert_eq!(cfg.is_reachable(bb), cfg.rpo().contains(&bb));
+                prop_assert_eq!(cfg.rpo_index(bb), cfg.rpo().iter().position(|&b| b == bb));
+                prop_assert_eq!(dt.is_reachable(bb), cfg.is_reachable(bb));
+            }
+            for bb in dead.iter().copied().chain((cap..cap + 3).map(BlockId::from_index)) {
+                prop_assert!(cfg.preds(bb).is_empty());
+                prop_assert!(cfg.succs(bb).is_empty());
+            }
+
+            let reach = reachable_avoiding(&cfg, f.entry, None, cap);
+            for &b in cfg.rpo() {
+                prop_assert!(reach[b.index()]);
+            }
+            prop_assert_eq!(cfg.rpo().len(), reach.iter().filter(|&&r| r).count());
+            for &a in cfg.rpo() {
+                let without_a = reachable_avoiding(&cfg, f.entry, Some(a), cap);
+                for &b in cfg.rpo() {
+                    let by_definition = a == b || !without_a[b.index()];
+                    prop_assert_eq!(dt.dominates(a, b), by_definition);
+                }
+            }
+        }
+    }
+}

@@ -6,8 +6,15 @@
 //! may-alias store or non-`readnone` call along the walk (conservatively:
 //! a block containing any store/call clears load availability for its
 //! subtree successors computed after it).
+//!
+//! The walk is linear in the function: available expressions live in one
+//! table whose insertions an undo log rolls back on leaving a subtree, and
+//! an eliminated instruction's uses are not rewritten at once. Its
+//! replacement goes into a substitution map; each instruction's operands
+//! are resolved through the map when the walk reaches it, and one final
+//! sweep rewrites every remaining use.
 
-use crate::early_cse::expr_key;
+use crate::early_cse::{expr_key, ExprKey};
 use crate::util;
 use autophase_ir::cfg::Cfg;
 use autophase_ir::dom::DomTree;
@@ -25,86 +32,164 @@ pub fn run(m: &mut Module) -> bool {
     })
 }
 
-type Scope = HashMap<crate::early_cse::ExprKey, InstId>;
 type LoadScope = HashMap<Value, Value>;
+
+/// One step of the dominator-tree walk.
+enum Step {
+    /// Number the instructions of a block, given the loads available at
+    /// its entry.
+    Visit(BlockId, LoadScope),
+    /// Leave a block's subtree: roll the expression table back to this
+    /// undo-log length.
+    Leave(usize),
+}
+
+/// Replacements for eliminated instructions, indexed by `InstId`.
+/// Allocated on the first elimination, so an unchanged function costs
+/// nothing.
+#[derive(Default)]
+struct Substitution(Vec<Option<Value>>);
+
+impl Substitution {
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn insert(&mut self, capacity: usize, from: InstId, to: Value) {
+        if self.0.is_empty() {
+            self.0 = vec![None; capacity];
+        }
+        self.0[from.index()] = Some(to);
+    }
+
+    /// The value `v` stands for once every elimination so far is applied.
+    fn resolve(&self, mut v: Value) -> Value {
+        while let Value::Inst(id) = v {
+            match self.0.get(id.index()).copied().flatten() {
+                Some(to) => v = to,
+                None => break,
+            }
+        }
+        v
+    }
+
+    fn eliminated(&self, id: InstId) -> bool {
+        matches!(self.0.get(id.index()), Some(Some(_)))
+    }
+}
 
 fn gvn_function(m: &mut Module, fid: FuncId) -> bool {
     let f = m.func(fid);
     let cfg = Cfg::new(f);
     let dt = DomTree::new(f, &cfg);
-    let mut changed = false;
+    let capacity = f.inst_capacity();
+    let mut subst = Substitution::default();
+    let mut exprs: HashMap<ExprKey, InstId> = HashMap::new();
+    let mut undo: Vec<ExprKey> = Vec::new();
 
-    // DFS over the dominator tree carrying scoped maps (persistent via
-    // cloning; functions are small enough for this to be cheap).
-    let mut stack: Vec<(BlockId, Scope, LoadScope)> =
-        vec![(f.entry, Scope::new(), LoadScope::new())];
-    while let Some((bb, mut scope, mut loads)) = stack.pop() {
-        let insts: Vec<InstId> = m.func(fid).block(bb).insts.clone();
-        for iid in insts {
-            if !m.func(fid).inst_exists(iid) {
+    // Pre-order over the dominator tree, children in descending id order
+    // (pushed ascending, popped last-first).
+    let mut stack = vec![Step::Visit(f.entry, LoadScope::new())];
+    while let Some(step) = stack.pop() {
+        let (bb, mut loads) = match step {
+            Step::Visit(bb, loads) => (bb, loads),
+            Step::Leave(mark) => {
+                for key in undo.drain(mark..) {
+                    exprs.remove(&key);
+                }
                 continue;
             }
-            let inst = m.func(fid).inst(iid).clone();
-            match &inst.op {
-                Opcode::Load { ptr } => {
-                    if let Some(&known) = loads.get(ptr) {
-                        let fm = m.func_mut(fid);
-                        fm.replace_all_uses(Value::Inst(iid), known);
-                        fm.remove_inst(bb, iid);
-                        changed = true;
-                    } else {
-                        loads.insert(*ptr, Value::Inst(iid));
+        };
+        stack.push(Step::Leave(undo.len()));
+        let mut removed_here = false;
+        for pos in 0..m.func(fid).block(bb).insts.len() {
+            let iid = m.func(fid).block(bb).insts[pos];
+            if !subst.is_empty() {
+                resolve_operands(m, fid, iid, &subst);
+            }
+            let inst = m.func(fid).inst(iid);
+            let replacement = match inst.op {
+                Opcode::Load { ptr } => match loads.get(&ptr) {
+                    Some(&known) => Some(known),
+                    None => {
+                        loads.insert(ptr, Value::Inst(iid));
+                        None
                     }
-                }
+                },
                 Opcode::Store { ptr, value } => {
                     let fr = m.func(fid);
-                    let keys: Vec<Value> = loads.keys().copied().collect();
-                    for k in keys {
-                        if util::may_alias(fr, k, *ptr) {
-                            loads.remove(&k);
-                        }
-                    }
-                    loads.insert(*ptr, *value);
+                    loads.retain(|&k, _| !util::may_alias(fr, k, ptr));
+                    loads.insert(ptr, value);
+                    None
                 }
                 Opcode::Call { .. } => {
-                    if !util::is_pure(m, &inst) {
+                    if !util::is_pure(m, inst) {
                         loads.clear();
                     }
+                    None
                 }
-                _ => {
-                    if util::is_pure_no_read(m, &inst) && !inst.ty.is_void() {
-                        if let Some(key) = expr_key(&inst) {
-                            if let Some(&prev) = scope.get(&key) {
-                                let fm = m.func_mut(fid);
-                                fm.replace_all_uses(Value::Inst(iid), Value::Inst(prev));
-                                fm.remove_inst(bb, iid);
-                                changed = true;
-                            } else {
-                                scope.insert(key, iid);
-                            }
+                _ if util::is_pure_no_read(m, inst) && !inst.ty.is_void() => match expr_key(inst) {
+                    Some(key) => match exprs.get(&key) {
+                        Some(&prev) => Some(Value::Inst(prev)),
+                        None => {
+                            exprs.insert(key, iid);
+                            undo.push(key);
+                            None
                         }
-                    }
-                }
+                    },
+                    None => None,
+                },
+                _ => None,
+            };
+            if let Some(to) = replacement {
+                subst.insert(capacity, iid, to);
+                m.func_mut(fid).erase_inst(iid);
+                removed_here = true;
             }
         }
-        let children = dt.children(bb);
+        if removed_here {
+            m.func_mut(fid)
+                .block_mut(bb)
+                .insts
+                .retain(|&i| !subst.eliminated(i));
+        }
         // A dominated block may be reached along paths containing stores
         // this walk has not seen (join points, loop back edges). Load
         // availability is only propagated to children whose unique CFG
         // predecessor is the current block — there the memory state at
         // entry provably equals the state at the end of `bb`. Pure
         // expression availability is path-independent and always flows.
-        for child in children {
-            let preds = cfg.unique_preds(child);
-            let load_env = if preds == vec![bb] {
+        for &child in dt.children(bb) {
+            let preds = cfg.preds(child);
+            let load_env = if !preds.is_empty() && preds.iter().all(|&p| p == bb) {
                 loads.clone()
             } else {
                 LoadScope::new()
             };
-            stack.push((child, scope.clone(), load_env));
+            stack.push(Step::Visit(child, load_env));
         }
     }
-    changed
+
+    if subst.is_empty() {
+        return false;
+    }
+    m.func_mut(fid)
+        .for_each_operand_mut(|v| *v = subst.resolve(*v));
+    true
+}
+
+/// Rewrite `iid`'s operands through `subst`, touching the function only
+/// when an operand actually changes.
+fn resolve_operands(m: &mut Module, fid: FuncId, iid: InstId, subst: &Substitution) {
+    let mut stale = false;
+    m.func(fid)
+        .inst(iid)
+        .for_each_operand(|v| stale |= subst.resolve(v) != v);
+    if stale {
+        m.func_mut(fid)
+            .inst_mut(iid)
+            .for_each_operand_mut(|v| *v = subst.resolve(*v));
+    }
 }
 
 #[cfg(test)]
@@ -224,5 +309,70 @@ mod tests {
         assert!(run(&mut m));
         assert_verified(&m);
         assert_eq!(run_main(&m, 100_000).unwrap().observable(), before);
+    }
+
+    #[test]
+    fn unchanged_function_keeps_its_shared_storage() {
+        // `helper` has nothing to number; `main` has a redundant add.
+        let mut b = FunctionBuilder::new("helper", vec![Type::I32], Type::I32);
+        let x = b.binary(BinOp::Add, b.arg(0), Value::i32(1));
+        b.ret(Some(x));
+        let helper = b.finish();
+        let mut b = FunctionBuilder::new("main", vec![Type::I32], Type::I32);
+        let x = b.binary(BinOp::Add, b.arg(0), Value::i32(3));
+        let y = b.binary(BinOp::Add, b.arg(0), Value::i32(3));
+        let s = b.binary(BinOp::Mul, x, y);
+        b.ret(Some(s));
+        let mut m = Module::new("t");
+        let h = m.add_function(helper);
+        let main = m.add_function(b.finish());
+        let before = m.clone();
+        assert!(run(&mut m));
+        assert!(std::sync::Arc::ptr_eq(
+            m.func_arc(h).unwrap(),
+            before.func_arc(h).unwrap()
+        ));
+        assert!(!std::sync::Arc::ptr_eq(
+            m.func_arc(main).unwrap(),
+            before.func_arc(main).unwrap()
+        ));
+    }
+
+    #[test]
+    fn phi_use_of_a_later_eliminated_value_is_rewritten() {
+        // The header's φ is numbered before the body, where its back-edge
+        // value turns out redundant: the final sweep must rewrite the φ.
+        let mut b = FunctionBuilder::new("main", vec![], Type::I32);
+        let header = b.new_block();
+        let body = b.new_block();
+        let exit = b.new_block();
+        let entry = b.entry_block();
+        b.br(header);
+        b.switch_to(header);
+        let i = b.phi(Type::I32, vec![(entry, Value::i32(0))]);
+        let c = b.icmp(CmpPred::Slt, i, Value::i32(10));
+        b.cond_br(c, body, exit);
+        b.switch_to(body);
+        let next = b.binary(BinOp::Add, i, Value::i32(1));
+        let dup = b.binary(BinOp::Add, Value::i32(1), i);
+        b.br(header);
+        if let Opcode::Phi { incoming } = &mut b.func_mut().inst_mut(i.as_inst().unwrap()).op {
+            incoming.push((body, dup));
+        }
+        b.switch_to(exit);
+        b.ret(Some(i));
+        let mut m = module_with(b.finish());
+        assert_verified(&m);
+        let before = run_main(&m, 100_000).unwrap().observable();
+        assert!(run(&mut m));
+        assert_verified(&m);
+        assert_eq!(run_main(&m, 100_000).unwrap().observable(), before);
+        let f = m.func(m.main().unwrap());
+        assert_eq!(
+            f.inst(i.as_inst().unwrap()).op,
+            Opcode::Phi {
+                incoming: vec![(entry, Value::i32(0)), (body, next)]
+            }
+        );
     }
 }

@@ -93,7 +93,7 @@ fn promote_one(f: &mut autophase_ir::Function, alloca: InstId) {
     let mut phi_blocks: HashSet<BlockId> = HashSet::new();
     let mut work = def_blocks.clone();
     while let Some(bb) = work.pop() {
-        for &fr in df.get(&bb).map(Vec::as_slice).unwrap_or(&[]) {
+        for &fr in &df[bb.index()] {
             if phi_blocks.insert(fr) {
                 work.push(fr);
             }
@@ -147,7 +147,7 @@ fn promote_one(f: &mut autophase_ir::Function, alloca: InstId) {
             }
         }
         // Recurse into dominator-tree children with the current value.
-        for child in dt.children(bb) {
+        for &child in dt.children(bb) {
             stack.push((child, cur));
         }
     }
