@@ -2,20 +2,17 @@
 
 use crate::function::{BlockId, Function};
 
-/// Sentinel RPO position of a block not reachable from the entry.
-const UNREACHED: u32 = u32::MAX;
-
 /// Immutable CFG snapshot of a function.
 ///
 /// Built once per analysis/transform. Holds predecessor and successor
-/// lists and each block's reverse post-order position, all in `Vec`s
-/// indexed by [`BlockId::index`], plus the reverse post-order itself.
+/// lists and a reachability flag, all in `Vec`s indexed by
+/// [`BlockId::index`], plus the reverse post-order.
 #[derive(Debug, Clone)]
 pub struct Cfg {
     preds: Vec<Vec<BlockId>>,
     succs: Vec<Vec<BlockId>>,
     rpo: Vec<BlockId>,
-    rpo_pos: Vec<u32>,
+    reachable: Vec<bool>,
     entry: BlockId,
 }
 
@@ -37,15 +34,15 @@ impl Cfg {
             succs[bb.index()] = s;
         }
         let rpo = reverse_post_order(f, &succs);
-        let mut rpo_pos = vec![UNREACHED; cap];
-        for (i, bb) in rpo.iter().enumerate() {
-            rpo_pos[bb.index()] = i as u32;
+        let mut reachable = vec![false; cap];
+        for bb in &rpo {
+            reachable[bb.index()] = true;
         }
         Cfg {
             preds,
             succs,
             rpo,
-            rpo_pos,
+            reachable,
             entry: f.entry,
         }
     }
@@ -82,27 +79,14 @@ impl Cfg {
         &self.rpo
     }
 
-    /// Position of `bb` in [`Cfg::rpo`], if it is reachable.
-    pub fn rpo_index(&self, bb: BlockId) -> Option<usize> {
-        match self.rpo_pos.get(bb.index()) {
-            Some(&i) if i != UNREACHED => Some(i as usize),
-            _ => None,
-        }
-    }
-
     /// The function entry block.
     pub fn entry(&self) -> BlockId {
         self.entry
     }
 
-    /// Upper bound (exclusive) of the block indices this CFG covers.
-    pub fn block_capacity(&self) -> usize {
-        self.succs.len()
-    }
-
     /// True if `bb` is reachable from the entry block.
     pub fn is_reachable(&self, bb: BlockId) -> bool {
-        self.rpo_index(bb).is_some()
+        self.reachable.get(bb.index()).copied().unwrap_or(false)
     }
 
     /// Total number of CFG edges (counting duplicates).

@@ -21,7 +21,7 @@ impl DomTree {
     /// Compute dominators for `f` given its CFG.
     pub fn new(f: &Function, cfg: &Cfg) -> DomTree {
         let entry = f.entry;
-        let cap = cfg.block_capacity().max(entry.index() + 1);
+        let cap = f.block_capacity().max(entry.index() + 1);
         let rpo = cfg.rpo();
         let mut rpo_index = vec![None; cap];
         for (i, &bb) in rpo.iter().enumerate() {

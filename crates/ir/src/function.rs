@@ -256,9 +256,12 @@ impl Function {
     /// Returns the number of operands replaced.
     pub fn replace_all_uses(&mut self, from: Value, to: Value) -> usize {
         let mut n = 0;
-        for inst in self.insts.iter_mut().flatten() {
-            n += inst.replace_uses(from, to);
-        }
+        self.for_each_operand_mut(|v| {
+            if *v == from {
+                *v = to;
+                n += 1;
+            }
+        });
         n
     }
 

@@ -285,7 +285,7 @@ mod cfg_shape {
                     .collect();
                 prop_assert_eq!(dt.children(bb), expect.as_slice());
                 prop_assert_eq!(cfg.is_reachable(bb), cfg.rpo().contains(&bb));
-                prop_assert_eq!(cfg.rpo_index(bb), cfg.rpo().iter().position(|&b| b == bb));
+                prop_assert_eq!(dt.rpo_index(bb), cfg.rpo().iter().position(|&b| b == bb));
                 prop_assert_eq!(dt.is_reachable(bb), cfg.is_reachable(bb));
             }
             for bb in dead.iter().copied().chain((cap..cap + 3).map(BlockId::from_index)) {
